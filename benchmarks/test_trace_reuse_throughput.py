@@ -1,13 +1,7 @@
-"""Trace memoization benchmarks: fast-path overhead and geometry ablation.
+"""Trace reuse benchmarks: analyzer throughput and geometry ablation.
 
-Two jobs here:
-
-* The baseline/fast-path pair keeps the execution fast path honest on an
-  analyzer-off run — wrappers, probes, and record-building must stay
-  within the CI overhead budget (``trace_fastpath_overhead_pct`` in
-  ``BENCH_trace_reuse.json``, gated at 5%).  The fast-path round uses a
-  pre-warmed shared :class:`TraceReuseState`, so it measures steady-state
-  replay (plus banned-anchor unwrapping), not cold-table training.
+* ``test_trace_analyzer_throughput`` times the Table 10T measurement
+  pass on a fixed round.
 * The geometry sweep extends Table 10T the way
   ``test_ablation_reuse_geometry.py`` extends Table 10; results land in
   ``benchmarks/results/ablation_trace_geometry.txt``.
@@ -18,51 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.sim import Simulator
-from repro.traces import TraceReuseAnalyzer, TraceReuseConfig, TraceReuseState
-from repro.workloads import get_workload
+from repro.traces import TraceReuseAnalyzer
 
 from _bench_utils import RESULTS_DIR, simulate_with
 
 #: Same round size as test_simulator_throughput.py, for comparability.
 BENCH_LIMIT = 25_000
-
-
-def _simulate(trace_reuse=None, engine="predecoded", limit=BENCH_LIMIT):
-    workload = get_workload("m88ksim")
-    simulator = Simulator(
-        workload.program(),
-        input_data=workload.primary_input(4),
-        engine=engine,
-        trace_reuse=trace_reuse,
-    )
-    simulator.run(limit=limit)
-    return simulator
-
-
-def _warm_state() -> TraceReuseState:
-    """A shared state trained by one full round (tables warm, bans settled)."""
-    state = TraceReuseState(TraceReuseConfig())
-    _simulate(trace_reuse=state)
-    return state
-
-
-def test_trace_baseline_throughput(benchmark):
-    """Analyzer-off run without the trace fast path (the overhead denominator)."""
-    benchmark(_simulate)
-
-
-def test_trace_fastpath_throughput(benchmark):
-    """Analyzer-off run replaying from a pre-warmed shared trace table."""
-    state = _warm_state()
-    simulator = benchmark(_simulate, state)
-    assert simulator._trace_engine.hits > 0
-
-
-def test_trace_fastpath_interpreter_throughput(benchmark):
-    state = TraceReuseState(TraceReuseConfig())
-    _simulate(trace_reuse=state, engine="interpreter")
-    benchmark(_simulate, state, "interpreter")
 
 
 def test_trace_analyzer_throughput(benchmark):

@@ -42,7 +42,9 @@ logger = logging.getLogger("repro.harness.cache")
 #: v4: RunManifest gained recovery provenance (degraded / attempts /
 #: failures) and SuiteConfig the fault_plan knob — degraded or faulted
 #: results must never be served against pre-recovery keys.
-CACHE_FORMAT_VERSION = 4
+#: v5: RunManifest lost its engine-fallback fields (the runner never
+#: substitutes an engine any more).
+CACHE_FORMAT_VERSION = 5
 
 #: Environment variable that opts experiment runs into disk caching.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"

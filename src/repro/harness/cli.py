@@ -36,6 +36,7 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
 from repro.obs import tracing as obs_tracing
+from repro.tools import quiet_broken_pipe
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list:

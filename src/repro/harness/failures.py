@@ -13,8 +13,9 @@ The recovery policy is deliberately small and table-driven
 (:func:`plan_next_action`):
 
 * compile/assembly errors are permanent — fail immediately, no retry;
-* simulator traps under the predecoded engine degrade once to the
-  reference interpreter (``degrade.engine_fallback``);
+* simulator traps are permanent under either engine: the simulator is
+  deterministic, and running another engine instead would hide the bug
+  that trapped, so the record names the engine that trapped;
 * worker crashes, pool timeouts, and unknown errors are transient —
   bounded retry with exponential backoff and seeded jitter
   (``retry.attempts``);
@@ -210,13 +211,11 @@ def resolve_policy(
 def plan_next_action(
     record: FailureRecord,
     *,
-    engine: str,
-    degraded: bool,
     attempt: int,
     retries: int,
     transient_timeouts: bool = True,
 ) -> str:
-    """``"degrade"`` / ``"retry"`` / ``"fail"`` for a classified failure.
+    """``"retry"`` / ``"fail"`` for a classified failure.
 
     ``transient_timeouts=False`` (serial runs) treats timeouts as
     permanent: the simulator is deterministic, so a sliced re-run would
@@ -224,11 +223,7 @@ def plan_next_action(
     retryable — a hung worker is an infrastructure flake, not a
     property of the workload.
     """
-    if record.kind == KIND_COMPILE:
-        return "fail"
-    if record.kind == KIND_SIM_TRAP:
-        if engine == "predecoded" and not degraded:
-            return "degrade"
+    if record.kind in (KIND_COMPILE, KIND_SIM_TRAP):
         return "fail"
     if record.kind == KIND_TIMEOUT and not transient_timeouts:
         return "fail"
@@ -265,21 +260,10 @@ class SuiteReport(Dict[str, "WorkloadResult"]):  # noqa: F821 (typing only)
     def partial(self) -> bool:
         return bool(self.failures)
 
-    def degraded_workloads(self) -> List[str]:
-        """Workloads whose result came from an engine fallback."""
-        return [
-            name
-            for name, result in self.items()
-            if getattr(result.manifest, "degraded", False)
-        ]
-
     def summary(self) -> str:
         parts = [f"{len(self)} ok"]
         if self.failures:
             parts.append(f"{len(self.failures)} failed")
-        degraded = self.degraded_workloads()
-        if degraded:
-            parts.append(f"{len(degraded)} degraded")
         if len(self.history) > len(self.failures):
             parts.append(f"{len(self.history)} failed attempts")
         return ", ".join(parts)
@@ -315,9 +299,8 @@ def result_digest(result) -> str:
     """SHA-256 over a WorkloadResult's *measured* content.
 
     Provenance (the manifest: timings, cache disposition, retry
-    history) is excluded, so a result recovered after retries or served
-    through a fallback path digests identically to a clean run — the
-    property the chaos tests pin down.
+    history) is excluded, so a result recovered after retries digests
+    identically to a clean run — the property the chaos tests pin down.
     """
     payload = _canonical(
         (

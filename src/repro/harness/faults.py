@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the suite harness.
 
-Every recovery path in the harness (retry, watchdog, engine
-degradation, cache self-healing — see :mod:`repro.harness.failures`)
+Every recovery path in the harness (retry, watchdog, terminal engine
+traps, cache self-healing — see :mod:`repro.harness.failures`)
 is exercised through *this* registry rather than through prod-only test
 hooks: the production code calls :func:`check` / :func:`should_fire` at
 a small catalog of named sites, and an armed :class:`FaultPlan` decides

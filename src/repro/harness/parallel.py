@@ -55,7 +55,7 @@ from repro.harness.failures import (
     note_failure,
     plan_next_action,
 )
-from repro.harness.runner import REFERENCE_ENGINE, SuiteConfig, WorkloadResult
+from repro.harness.runner import SuiteConfig, WorkloadResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
 from repro.workloads import WORKLOAD_ORDER, get_workload
@@ -122,9 +122,7 @@ class _Task:
     """One pending workload in the retry loop."""
 
     name: str
-    config: SuiteConfig
     attempt: int = 1
-    degraded_from: Optional[str] = None
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -174,6 +172,7 @@ def _drain(
 
 def _run_round(
     tasks: List[_Task],
+    config: SuiteConfig,
     workers: int,
     cache_dir: Optional[str],
     telemetry: bool,
@@ -194,7 +193,7 @@ def _run_round(
         return pool.submit(
             _run_one,
             task.name,
-            task.config,
+            config,
             cache_dir,
             telemetry,
             trace,
@@ -269,7 +268,7 @@ def run_suite_parallel(
         if cached is not None:
             results[name] = cached
         else:
-            pending.append(_Task(name=name, config=config))
+            pending.append(_Task(name=name))
 
     telemetry = registry.enabled
     parent_tracer = obs_tracing.current_tracer()
@@ -279,6 +278,7 @@ def run_suite_parallel(
         workers = max(1, min(jobs, len(pending)))
         outcomes = _run_round(
             pending,
+            config,
             workers,
             cache_dir,
             telemetry,
@@ -302,12 +302,10 @@ def run_suite_parallel(
             if status == "ok":
                 result, meta = payload
                 # The worker already wrote the disk entry when enabled.
-                runner.install_result(result, task.config, to_disk=cache_dir is None)
+                runner.install_result(result, config, to_disk=cache_dir is None)
                 history = histories.get(task.name, [])
-                if history or task.degraded_from is not None:
-                    result = runner._annotate_result(
-                        result, history, task.attempt, task.degraded_from
-                    )
+                if history:
+                    result = runner._annotate_result(result, history, task.attempt)
                 results[task.name] = result
                 if meta["metrics"] is not None:
                     registry.merge(meta["metrics"])
@@ -325,7 +323,7 @@ def run_suite_parallel(
             record = classify_failure(
                 exc,
                 workload=task.name,
-                engine=task.config.engine,
+                engine=config.engine,
                 attempt=task.attempt,
             )
             histories.setdefault(task.name, []).append(record)
@@ -333,21 +331,9 @@ def run_suite_parallel(
             if effective.strict:
                 raise exc
             action = plan_next_action(
-                record,
-                engine=task.config.engine,
-                degraded=task.degraded_from is not None,
-                attempt=task.attempt,
-                retries=effective.retries,
+                record, attempt=task.attempt, retries=effective.retries
             )
-            if action == "degrade":
-                registry.inc("degrade.engine_fallback")
-                task.degraded_from = task.config.engine
-                task.config = dataclasses.replace(
-                    task.config, engine=REFERENCE_ENGINE
-                )
-                task.attempt += 1
-                next_round.append(task)
-            elif action == "retry":
+            if action == "retry":
                 registry.inc("retry.attempts")
                 backoff = max(
                     backoff, effective.backoff_seconds(task.name, task.attempt)

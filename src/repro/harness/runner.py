@@ -53,9 +53,6 @@ from repro.workloads import WORKLOAD_ORDER, Workload, get_workload
 
 logger = logging.getLogger("repro.harness.runner")
 
-#: Engine the recovery loop degrades to when a faster engine traps.
-REFERENCE_ENGINE = "interpreter"
-
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -309,21 +306,17 @@ def _annotate_result(
     result: WorkloadResult,
     history: List[FailureRecord],
     attempts: int,
-    degraded_from: Optional[str] = None,
 ) -> WorkloadResult:
     """A copy of ``result`` whose manifest records its recovery story.
 
     Copies (``dataclasses.replace``) so the cache layers keep the
-    pristine object: a degraded interpreter result is a perfectly clean
-    cache entry *for the interpreter config* — only the caller that
-    asked for predecode sees the degradation flag.
+    pristine object: only the caller that saw the failed attempts gets
+    them in its manifest.
     """
     if result.manifest is None:
         return result
     manifest = dataclasses.replace(
         result.manifest,
-        degraded=degraded_from is not None,
-        degraded_from=degraded_from,
         attempts=attempts,
         failures=[record.to_dict() for record in history],
     )
@@ -345,17 +338,15 @@ def run_workload_recovering(
     registry = obs_metrics.REGISTRY
     history: List[FailureRecord] = []
     attempt = 1
-    run_config = config
-    degraded_from: Optional[str] = None
     while True:
         try:
             with faults.scope(workload=workload.name, attempt=attempt):
                 result = run_workload(
-                    workload, run_config, profile=profile, deadline_s=policy.timeout_s
+                    workload, config, profile=profile, deadline_s=policy.timeout_s
                 )
         except Exception as exc:
             record = classify_failure(
-                exc, workload=workload.name, engine=run_config.engine, attempt=attempt
+                exc, workload=workload.name, engine=config.engine, attempt=attempt
             )
             history.append(record)
             note_failure(record)
@@ -363,35 +354,20 @@ def run_workload_recovering(
                 raise
             action = plan_next_action(
                 record,
-                engine=run_config.engine,
-                degraded=degraded_from is not None,
                 attempt=attempt,
                 retries=policy.retries,
                 # A serial timeout is deterministic: the same workload
                 # would burn the same wall clock again.
                 transient_timeouts=False,
             )
-            if action == "degrade":
-                registry.inc("degrade.engine_fallback")
-                logger.warning(
-                    "workload %s failed on engine %s (%s); degrading to %s",
-                    workload.name,
-                    run_config.engine,
-                    record.message,
-                    REFERENCE_ENGINE,
-                )
-                degraded_from = run_config.engine
-                run_config = dataclasses.replace(run_config, engine=REFERENCE_ENGINE)
-                attempt += 1
-                continue
             if action == "retry":
                 registry.inc("retry.attempts")
                 time.sleep(policy.backoff_seconds(workload.name, attempt))
                 attempt += 1
                 continue
             return None, history
-        if history or degraded_from is not None:
-            result = _annotate_result(result, history, attempt, degraded_from)
+        if history:
+            result = _annotate_result(result, history, attempt)
         return result, history
 
 

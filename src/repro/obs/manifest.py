@@ -27,9 +27,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 #: Manifest schema version (bump on incompatible layout changes).
-#: v2: recovery provenance (degraded / degraded_from / attempts /
+#: v2: recovery provenance (engine-fallback flags / attempts /
 #: failures) for fault-tolerant suite runs.
-MANIFEST_SCHEMA = 2
+#: v3: engine-fallback flags removed — the runner never substitutes an
+#: engine, so a result always comes from the configured one.
+MANIFEST_SCHEMA = 3
 
 #: Cache dispositions a result can carry.
 DISPOSITIONS = ("computed", "memory-hit", "disk-hit")
@@ -60,10 +62,6 @@ class RunManifest:
     timing: Dict[str, float] = field(default_factory=dict)
     package_version: str = field(default_factory=_package_version)
     schema: int = MANIFEST_SCHEMA
-    #: Recovery provenance: True when this result came from an engine
-    #: fallback (``degraded_from`` names the engine that failed).
-    degraded: bool = False
-    degraded_from: Optional[str] = None
     #: How many attempts the recovery loop made to produce this result.
     attempts: int = 1
     #: FailureRecord dicts for the failed attempts that preceded it.

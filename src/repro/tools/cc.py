@@ -22,6 +22,7 @@ from repro.core.mix import MIX_CLASSES
 from repro.isa.encoding import encode
 from repro.lang import MiniCError, compile_to_assembly
 from repro.sim import Simulator
+from repro.tools import quiet_broken_pipe
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
 

@@ -2,10 +2,10 @@
 
 Trace-level reuse on top of the paper's instruction-level reuse buffer:
 straight-line fragments of the dynamic stream are recorded with their
-live-in registers/memory and live-outs, kept in an associative table,
-and — when live-ins validate — replayed wholesale instead of re-executed
-(execution fast path) or counted as covered (analyzer mode, Table 10T).
-See DESIGN.md §6d.
+live-in registers, memory and hi/lo values, kept in an associative
+table, and counted as covered when a later region start validates
+against a resident trace (Table 10T).  Nothing is skipped: this is a
+measurement of how much trace-level reuse exists.  See DESIGN.md §6d.
 """
 
 from repro.traces.analyzer import (
@@ -25,13 +25,6 @@ from repro.traces.builder import (
     TraceBuilder,
     step_next_pc,
 )
-from repro.traces.engine import (
-    DEFAULT_MAX_FUTILE_RECORDINGS,
-    TraceExecutionEngine,
-    TraceReuseConfig,
-    TraceReuseState,
-    anchor_candidates,
-)
 from repro.traces.safety import DEFAULT_MIN_TRACE_LEN, SafetyPolicy, check_candidate
 from repro.traces.table import (
     DEFAULT_MAX_TRACE_LEN,
@@ -49,7 +42,6 @@ from repro.traces.trace import (
 
 __all__ = [
     "CLASS_NAMES",
-    "DEFAULT_MAX_FUTILE_RECORDINGS",
     "DEFAULT_MAX_TRACE_LEN",
     "DEFAULT_MIN_TRACE_LEN",
     "DEFAULT_TRACE_CAPACITY",
@@ -67,13 +59,9 @@ __all__ = [
     "SafetyPolicy",
     "Trace",
     "TraceBuilder",
-    "TraceExecutionEngine",
     "TraceReuseAnalyzer",
-    "TraceReuseConfig",
     "TraceReuseReport",
-    "TraceReuseState",
     "TraceReuseTable",
-    "anchor_candidates",
     "boundary_kind",
     "check_candidate",
     "class_of",

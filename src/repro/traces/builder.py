@@ -6,15 +6,16 @@ produce) and maintains the dataflow summary a :class:`~repro.traces.trace
 .Trace` needs:
 
 * a register read whose value was not produced earlier in the trace is a
-  register live-in; the last write to each register is its live-out;
+  register live-in;
 * a load from bytes untouched by in-trace stores is a memory live-in
   (recorded raw, pre-extension); a load fully covered by in-trace stores
   is internal; a *partially* covered load poisons the candidate
   (``REASON_OVERLAP`` — the mixed value cannot be validated cheaply);
-* stores are kept in order for replay, and a store outside the tracked
-  data/heap/stack segments poisons the candidate (self-modifying-code
-  adjacent, or a wild pointer — either way unsafe to memoize);
-* hi/lo reads and writes are tracked like a two-register file.
+* stored bytes are remembered so later loads can be classified, and a
+  store outside the tracked data/heap/stack segments poisons the
+  candidate (self-modifying-code adjacent, or a wild pointer — either
+  way unsafe to memoize);
+* a hi/lo read before any in-trace ``mult``/``div`` is a hi/lo live-in.
 
 Feeding an excluded instruction (syscall/call/return) does not execute
 anything here — the builder is passive — but marks the candidate unsafe
@@ -71,18 +72,14 @@ class TraceBuilder:
         #: First structural-safety violation seen, or ``None``.
         self.unsafe: Optional[str] = None
         self._reg_in: Dict[int, int] = {}
-        self._reg_out: Dict[int, int] = {}
         self._written_regs: Set[int] = set()
         self._mem_in: List[Tuple[int, int, int]] = []
         self._mem_in_seen: Set[Tuple[int, int]] = set()
         self._written_bytes: Set[int] = set()
-        self._stores: List[Tuple[int, int, int]] = []
         self._hi_lo_in: List[Tuple[bool, int]] = []
         self._hi_in_seen = False
         self._lo_in_seen = False
         self._hilo_written = False
-        self._hi_out = 0
-        self._lo_out = 0
         self._class_counts = [0] * NUM_CLASSES
 
     @property
@@ -147,16 +144,13 @@ class TraceBuilder:
             width = op.mem_width
             if self.unsafe is None and segment_of(address) not in TRACKED_SEGMENTS:
                 self.unsafe = REASON_UNTRACKED_STORE
-            self._stores.append((address, width, record.store_value & _WIDTH_MASK[width]))
             self._written_bytes.update(range(address, address + width))
         elif kind is Kind.MULDIV:
             self._hilo_written = True
-            self._hi_out, self._lo_out = record.outputs
 
         dest = record.dest_reg
         if dest:
             self._written_regs.add(dest)
-            self._reg_out[dest] = record.dest_value
 
         self._class_counts[class_of(instr)] += 1
         self.length += 1
@@ -170,8 +164,5 @@ class TraceBuilder:
             reg_in=tuple(sorted(self._reg_in.items())),
             mem_in=tuple(self._mem_in),
             hi_lo_in=tuple(self._hi_lo_in),
-            reg_out=tuple(sorted(self._reg_out.items())),
-            hi_lo_out=(self._hi_out, self._lo_out) if self._hilo_written else None,
-            stores=tuple(self._stores),
             class_counts=tuple(self._class_counts),
         )

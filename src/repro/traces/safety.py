@@ -1,20 +1,21 @@
 """Trace safety filter: which candidates may be memoized at all.
 
-A trace is only safe to skip if replaying its recorded live-outs is
-indistinguishable from re-executing it.  That fails when the candidate
+A trace only counts as reusable if skipping it, given matching live-ins,
+would be indistinguishable from re-executing it.  That fails when the
+candidate
 
 * contains a syscall (external state, events the simulator must raise),
 * contains a call or return (call-stack events must fire),
 * stores outside the tracked data/heap/stack segments (self-modifying-
-  code adjacent or wild — cannot be re-validated or safely replayed),
+  code adjacent or wild — cannot be re-validated),
 * loads bytes partially written in-trace (the mixed value cannot be
   expressed as a single pre-trace live-in), or
 * — in strict mode — has *implicit inputs* in the sense of the paper's
   §5.2 machinery (:func:`repro.core.function_analysis
   .classify_memory_access`): live-in loads from global/heap memory.
   This is the idempotent-slices criterion of Azevedo et al.; the default
-  policy instead admits such loads and relies on validation (execution
-  fast path) or store-based invalidation (analyzer) for freshness.
+  policy instead admits such loads and relies on the analyzer's
+  store-based invalidation for freshness.
 
 Length bounds also live here so every driver applies the same rule: a
 trace shorter than ``min_len`` is not worth an entry (the instruction-

@@ -5,14 +5,13 @@ Mirrors the geometry API of :class:`repro.core.reuse_buffer.ReuseBuffer`
 ``(start_pc >> 2) % num_sets``, MRU-first lists with LRU eviction — plus
 two side indexes the trace level needs:
 
-* ``start_pc -> entries`` for O(1) probes without touching the set (the
-  execution fast path runs this on every anchor dispatch), and
+* ``start_pc -> entries`` for O(1) probes without touching the set, and
 * ``memory word -> entries`` so a store can invalidate every resident
   trace whose memory live-ins it touches (the analyzer's freshness
   mechanism, analogous to the buffer's scheme ``Sv``).
 
-``max_trace_len`` is table geometry, not policy: it bounds the replay
-payload per entry and every builder driving this table splits at it.
+``max_trace_len`` is table geometry, not policy: it bounds the length of
+each entry and every builder driving this table splits at it.
 """
 
 from __future__ import annotations
@@ -59,13 +58,13 @@ class TraceReuseTable:
         """Resident traces starting at ``pc`` (MRU-first), or ``None``."""
         return self._by_pc.get(pc)
 
-    def lookup(self, pc: int, regs, hi, lo, memory=None) -> Optional[Trace]:
+    def lookup(self, pc: int, regs, hi, lo) -> Optional[Trace]:
         """First resident trace at ``pc`` whose live-ins validate."""
         entries = self._by_pc.get(pc)
         if not entries:
             return None
         for trace in entries:
-            if trace.matches(regs, hi, lo, memory):
+            if trace.matches(regs, hi, lo):
                 self.promote(trace)
                 return trace
         return None
@@ -103,7 +102,7 @@ class TraceReuseTable:
         """Insert ``trace``, evicting the set's LRU entry if full.
 
         An entry with the same live-in signature is replaced in place
-        (determinism makes its live-outs identical, so the newer copy
+        (determinism makes the two copies identical, so the newer one
         adds nothing and would waste a way).
         """
         bucket = self._set_for(trace.start_pc)

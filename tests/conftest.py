@@ -1,8 +1,9 @@
 """Shared fixtures.
 
-The full suite run is expensive (~20s with every analyzer attached), so
-it is session-scoped and shared by all shape/integration tests, and the
-harness-level cache makes repeated requests free.
+The full suite run is expensive (~35 s per input set with every analyzer
+attached), so it is session-scoped and shared by all shape, integration
+and golden-table tests, and the harness-level cache makes repeated
+requests free.
 """
 
 from __future__ import annotations

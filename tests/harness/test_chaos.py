@@ -32,7 +32,6 @@ from repro.workloads import get_workload
 
 #: Small windows keep the matrix fast; the analyzers all still run.
 _CHAOS = SuiteConfig(limit_instructions=3_000)
-_INTERP = dataclasses.replace(_CHAOS, engine="interpreter")
 _NAMES = ("go", "compress")
 
 
@@ -59,16 +58,12 @@ def isolated_state():
 
 @pytest.fixture(scope="module")
 def baselines():
-    """Fault-free digests: both workloads (predecoded) + go (interpreter)."""
+    """Fault-free digests of both workloads."""
     saved = dict(runner._CACHE)
     runner._CACHE.clear()
     try:
         clean = run_suite(_CHAOS, names=_NAMES)
-        interp = run_suite(_INTERP, names=("go",))
-        yield (
-            {name: result_digest(result) for name, result in clean.items()},
-            result_digest(interp["go"]),
-        )
+        yield {name: result_digest(result) for name, result in clean.items()}
     finally:
         runner._CACHE.clear()
         runner._CACHE.update(saved)
@@ -78,7 +73,6 @@ class TestWorkerCrash:
     def test_partial_results_with_terminal_crash(self, baselines, metrics_enabled):
         """Acceptance: crasher fails with attempts == retries + 1, the
         survivors are bit-identical to a fault-free run."""
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.crash:go"),
             names=_NAMES,
@@ -91,18 +85,17 @@ class TestWorkerCrash:
         assert record.kind == KIND_WORKER_CRASH
         assert record.attempts == 1 + 1  # retries + 1
         assert "go" not in report
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert metrics_enabled.value("suite.partial_failures") == 1
         assert metrics_enabled.value("retry.attempts") >= 1
 
     def test_first_attempt_crash_recovers(self, baselines, metrics_enabled):
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.crash:go@1"), names=_NAMES, jobs=2, strict=False
         )
         assert report.ok
-        assert result_digest(report["go"]) == clean_digests["go"]
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["go"]) == baselines["go"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert report["go"].manifest.attempts >= 2
         assert report["go"].manifest.failures  # the crash is on record
         assert metrics_enabled.value("retry.attempts") >= 1
@@ -132,50 +125,37 @@ class TestWorkerCrash:
         assert chaos_sim == clean_sim
 
 
-class TestEngineDegradation:
-    def test_serial_predecode_trap_degrades_to_interpreter(
-        self, baselines, metrics_enabled
-    ):
-        """Acceptance: the fallback result is identical to a native
-        interpreter run, flagged degraded, and the predecode cache key
-        is never populated."""
-        _, interp_digest = baselines
+class TestEngineTraps:
+    """A sim-trap is terminal under either engine: the runner never
+    re-runs the workload on another engine, and the record names the
+    engine that trapped."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_predecode_trap_is_terminal(self, jobs, baselines, metrics_enabled):
         config = _plan("engine.predecode_raise:go")
-        report = run_suite(config, names=("go",), strict=False)
-        assert report.ok
-        manifest = report["go"].manifest
-        assert manifest.degraded and manifest.degraded_from == "predecoded"
-        assert manifest.engine == "interpreter"
-        assert manifest.attempts == 2
-        assert result_digest(report["go"]) == interp_digest
-        assert metrics_enabled.value("degrade.engine_fallback") == 1
-        assert metrics_enabled.value("fault.injected.engine.predecode_raise") == 1
-        # Never promoted as a clean predecode entry.
+        report = run_suite(config, names=_NAMES, jobs=jobs, strict=False)
+        record = report.failures["go"]
+        assert record.kind == KIND_SIM_TRAP and record.injected
+        assert record.engine == "predecoded"
+        assert record.attempts == 1
+        assert "go" not in report
+        assert result_digest(report["compress"]) == baselines["compress"]
+        assert metrics_enabled.value("retry.attempts") == 0
+        assert metrics_enabled.value("suite.partial_failures") == 1
         assert runner.cached_result(get_workload("go"), config) is None
 
-    def test_parallel_predecode_trap_degrades(self, baselines, metrics_enabled):
-        _, interp_digest = baselines
-        report = run_suite(
-            _plan("engine.predecode_raise:go"), names=_NAMES, jobs=2, strict=False
-        )
-        assert report.ok
-        assert report["go"].manifest.degraded
-        assert result_digest(report["go"]) == interp_digest
-        assert metrics_enabled.value("degrade.engine_fallback") == 1
-
     def test_interpreter_trap_is_terminal(self, baselines):
-        """No engine left to degrade to: sim-trap on the reference
-        engine fails without burning retries."""
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("engine.interp_raise:go", engine="interpreter"),
             names=_NAMES,
             jobs=1,
             strict=False,
         )
-        assert report.failures["go"].kind == KIND_SIM_TRAP
-        assert report.failures["go"].attempts == 1
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        record = report.failures["go"]
+        assert record.kind == KIND_SIM_TRAP
+        assert record.engine == "interpreter"
+        assert record.attempts == 1
+        assert result_digest(report["compress"]) == baselines["compress"]
 
     def test_strict_raises_the_trap(self):
         with pytest.raises(SimError, match="engine.predecode_raise"):
@@ -203,7 +183,6 @@ class TestAsmError:
 
 class TestCacheFaults:
     def test_corrupt_entry_self_heals(self, tmp_path, baselines, metrics_enabled):
-        clean_digests, _ = baselines
         set_cache_dir(str(tmp_path / "cache"))
         config = _plan("cache.corrupt:compress")
         first = run_suite(config, names=("compress",), strict=False)
@@ -213,7 +192,7 @@ class TestCacheFaults:
         runner._CACHE.clear()
         second = run_suite(config, names=("compress",), strict=False)
         assert second.ok
-        assert result_digest(second["compress"]) == clean_digests["compress"]
+        assert result_digest(second["compress"]) == baselines["compress"]
         assert metrics_enabled.value("cache.disk.corrupt") == 1
 
     def test_torn_write_does_not_fail_the_run(self, tmp_path, metrics_enabled):
@@ -230,7 +209,6 @@ class TestCacheFaults:
 
 class TestWatchdog:
     def test_serial_timeout_is_a_terminal_failure(self, baselines):
-        clean_digests, _ = baselines
         # No instruction limit: compress runs long enough (~190k steps)
         # for a 1ms watchdog to fire mid-simulation.
         config = SuiteConfig()
@@ -247,7 +225,6 @@ class TestWatchdog:
             run_suite(SuiteConfig(), names=("compress",), timeout_s=0.001)
 
     def test_parallel_hang_hits_parent_deadline(self, baselines, metrics_enabled):
-        clean_digests, _ = baselines
         report = run_suite(
             _plan("worker.hang:go"),
             names=_NAMES,
@@ -259,7 +236,7 @@ class TestWatchdog:
         record = report.failures["go"]
         assert record.kind == KIND_TIMEOUT
         assert record.attempts == 1  # retries=0
-        assert result_digest(report["compress"]) == clean_digests["compress"]
+        assert result_digest(report["compress"]) == baselines["compress"]
         assert metrics_enabled.value("suite.partial_failures") == 1
 
 
@@ -271,12 +248,10 @@ class TestZeroFaultRuns:
         assert report.ok and not report.history
         counters = metrics_enabled.snapshot()["counters"]
         assert metrics_enabled.value("retry.attempts") == 0
-        assert metrics_enabled.value("degrade.engine_fallback") == 0
         assert metrics_enabled.value("suite.partial_failures") == 0
         assert not [k for k in counters if k.startswith("fault.injected")]
         for result in report.values():
             assert result.manifest.attempts == 1
-            assert not result.manifest.degraded
 
 
 class TestFailureSpans:

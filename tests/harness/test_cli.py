@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.harness.cli import build_parser, main
 
@@ -150,3 +157,23 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "Table 2" in out and "m88ksim" in out
+
+    def test_closed_stdout_exits_quietly(self):
+        """``repro-run ... | head -1``: the reader goes away early, so
+        writing the tables raises EPIPE; the run must end without a
+        traceback."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "table1",
+             "--workloads", "compress", "--no-cache"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        # Closed before the suite finishes simulating, so before any write.
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr

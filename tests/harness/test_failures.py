@@ -130,76 +130,29 @@ class TestPlanNextAction:
         )
 
     def test_compile_errors_fail_immediately(self):
-        action = plan_next_action(
-            self._record(KIND_COMPILE),
-            engine="predecoded",
-            degraded=False,
-            attempt=1,
-            retries=5,
-        )
+        action = plan_next_action(self._record(KIND_COMPILE), attempt=1, retries=5)
         assert action == "fail"
 
-    def test_sim_trap_degrades_predecode_once(self):
-        kwargs = dict(attempt=1, retries=5)
-        assert (
-            plan_next_action(
-                self._record(KIND_SIM_TRAP),
-                engine="predecoded",
-                degraded=False,
-                **kwargs,
-            )
-            == "degrade"
-        )
-        # Already on the reference engine (or already degraded): terminal.
-        assert (
-            plan_next_action(
-                self._record(KIND_SIM_TRAP),
-                engine="interpreter",
-                degraded=False,
-                **kwargs,
-            )
-            == "fail"
-        )
-        assert (
-            plan_next_action(
-                self._record(KIND_SIM_TRAP),
-                engine="interpreter",
-                degraded=True,
-                **kwargs,
-            )
-            == "fail"
-        )
+    def test_sim_trap_is_terminal(self):
+        # Deterministic, and no other engine is substituted: never retried.
+        action = plan_next_action(self._record(KIND_SIM_TRAP), attempt=1, retries=5)
+        assert action == "fail"
 
     def test_transient_failures_retry_until_budget(self):
         record = self._record(KIND_WORKER_CRASH)
-        common = dict(engine="predecoded", degraded=False, retries=2)
-        assert plan_next_action(record, attempt=1, **common) == "retry"
-        assert plan_next_action(record, attempt=2, **common) == "retry"
-        assert plan_next_action(record, attempt=3, **common) == "fail"
+        assert plan_next_action(record, attempt=1, retries=2) == "retry"
+        assert plan_next_action(record, attempt=2, retries=2) == "retry"
+        assert plan_next_action(record, attempt=3, retries=2) == "fail"
 
     def test_serial_timeouts_are_permanent(self):
         record = self._record(KIND_TIMEOUT)
         assert (
-            plan_next_action(
-                record,
-                engine="predecoded",
-                degraded=False,
-                attempt=1,
-                retries=5,
-                transient_timeouts=False,
-            )
+            plan_next_action(record, attempt=1, retries=5, transient_timeouts=False)
             == "fail"
         )
         # Pool timeouts stay retryable (hung worker = infra flake).
         assert (
-            plan_next_action(
-                record,
-                engine="predecoded",
-                degraded=False,
-                attempt=1,
-                retries=5,
-                transient_timeouts=True,
-            )
+            plan_next_action(record, attempt=1, retries=5, transient_timeouts=True)
             == "retry"
         )
 
@@ -269,7 +222,7 @@ class TestResultDigest:
 
         go = suite_results["go"]
         annotated = dataclasses.replace(
-            go, manifest=dataclasses.replace(go.manifest, degraded=True, attempts=3)
+            go, manifest=dataclasses.replace(go.manifest, attempts=3)
         )
         assert result_digest(annotated) == result_digest(go)
 

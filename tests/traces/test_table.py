@@ -135,18 +135,3 @@ class TestInvalidation:
         # A store to the neighbouring word touches nothing.
         assert table.invalidate_store(DATA_BASE + 8, 4) == 0
         assert table.occupancy == 0
-
-    def test_memory_validation_in_lookup(self):
-        table = TraceReuseTable()
-        trace = make_trace(PC, mem_addr=DATA_BASE)
-        table.install(trace)
-
-        class Memory:
-            def __init__(self, value):
-                self.value = value
-
-            def read_word(self, address):
-                return self.value
-
-        assert table.lookup(PC, regs_for(trace), 0, 0, Memory(7)) is trace
-        assert table.lookup(PC, regs_for(trace), 0, 0, Memory(8)) is None
