@@ -5,7 +5,6 @@
 from repro.harness.faults import FaultInjected, FaultPlan
 from repro.harness.failures import (
     FailureRecord,
-    RecoveryPolicy,
     SuiteReport,
     WorkloadTimeout,
     result_digest,
@@ -31,7 +30,6 @@ __all__ = [
     "FailureRecord",
     "FaultInjected",
     "FaultPlan",
-    "RecoveryPolicy",
     "ResultCache",
     "SuiteConfig",
     "SuiteReport",

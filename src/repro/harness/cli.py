@@ -30,13 +30,14 @@ from typing import List, Optional
 
 from repro.harness.cache import source_digest
 from repro.harness.experiments import EXPERIMENT_ORDER, EXPERIMENTS
-from repro.harness.failures import RecoveryPolicy
+from repro.harness.faults import FaultPlan
 from repro.harness.runner import SuiteConfig, run_suite, set_cache_dir
 from repro.obs import manifest as obs_manifest
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
 from repro.obs import tracing as obs_tracing
 from repro.tools import quiet_broken_pipe
+from repro.workloads import WORKLOAD_ORDER, WORKLOADS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,24 +150,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-workload wall-clock budget in seconds (default: none)",
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="retry budget for transient workload failures (default 2)",
-    )
-    parser.add_argument(
         "--faults",
         metavar="PLAN",
         default=None,
         help="fault-injection plan, e.g. 'worker.crash:go' "
-        "(see repro.harness.faults; also $REPRO_FAULTS)",
+        "(see repro.harness.faults)",
     )
     return parser
 
 
+def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Reject bad option values up front (exit 2, one error line)."""
+    if args.workloads:
+        names = args.workloads.split(",")
+        unknown = [name for name in names if name not in WORKLOADS]
+        if unknown:
+            parser.error(
+                f"--workloads: unknown workload(s) {', '.join(unknown)} "
+                f"(known: {', '.join(WORKLOAD_ORDER)})"
+            )
+        if len(set(names)) != len(names):
+            parser.error(f"--workloads: duplicate names in {args.workloads!r}")
+    if args.jobs < 1:
+        parser.error(f"--jobs must be a positive integer, got {args.jobs}")
+    if args.timeout_s is not None and not args.timeout_s > 0:
+        parser.error(f"--timeout-s must be positive, got {args.timeout_s:g}")
+    if args.faults is not None:
+        try:
+            FaultPlan.parse(args.faults)
+        except ValueError as exc:
+            parser.error(f"--faults: {exc}")
+
+
 @quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _validate(parser, args)
     if args.list:
         for exp_id in EXPERIMENT_ORDER:
             exp = EXPERIMENTS[exp_id]
@@ -201,9 +221,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         fault_plan=args.faults,
     )
     names = args.workloads.split(",") if args.workloads else None
-    policy = RecoveryPolicy(
-        strict=args.strict, retries=args.retries, timeout_s=args.timeout_s
-    )
 
     # Telemetry is process-global and opt-in; arm it for the run and
     # restore the previous state afterwards so embedding callers (and
@@ -221,7 +238,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         started = time.time()
         results = run_suite(
-            config, names, jobs=args.jobs, profile=args.profile, policy=policy
+            config,
+            names,
+            jobs=args.jobs,
+            profile=args.profile,
+            strict=args.strict,
+            timeout_s=args.timeout_s,
         )
         elapsed = time.time() - started
         total = sum(r.run.analyzed_instructions for r in results.values())

@@ -1,26 +1,21 @@
-"""Failure taxonomy and recovery policy for suite execution.
+"""Failure taxonomy and partial results for suite execution.
 
 Everything that can go wrong while running a workload — assembly /
 compile errors, simulator traps, crashed pool workers, watchdog
-timeouts, cache corruption — is classified into a picklable
-:class:`FailureRecord` so the suite runner can *keep going*: a
-non-strict run returns a :class:`SuiteReport` carrying every finished
+timeouts — is classified into a picklable :class:`FailureRecord` so the
+suite runner can *keep going*: a non-strict run returns a
+:class:`SuiteReport` carrying every finished
 :class:`~repro.harness.runner.WorkloadResult` plus one terminal record
 per failed workload, instead of discarding completed work on the first
 exception.
 
-The recovery policy is deliberately small and table-driven
-(:func:`plan_next_action`):
-
-* compile/assembly errors are permanent — fail immediately, no retry;
-* simulator traps are permanent under either engine: the simulator is
-  deterministic, and running another engine instead would hide the bug
-  that trapped, so the record names the engine that trapped;
-* worker crashes, pool timeouts, and unknown errors are transient —
-  bounded retry with exponential backoff and seeded jitter
-  (``retry.attempts``);
-* serial watchdog timeouts are deterministic (same workload, same
-  steps) and therefore permanent.
+Recovery has one rule.  The simulator is deterministic, so a
+workload's own failure — a compile error, a sim-trap under either
+engine, a watchdog timeout, anything unclassified — would repeat on a
+re-run and is terminal.  Only a task the process pool *lost* (its
+worker died, or the parent's deadline killed it) is retried, in an
+isolated pool, up to :data:`~repro.harness.parallel.MAX_ATTEMPTS`.
+Serial runs cannot lose a task, so they make exactly one attempt.
 
 ``strict=True`` — the default everywhere — preserves the historical
 raise-on-first-error behaviour exactly.
@@ -39,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.asm.errors import AsmError
-from repro.harness.faults import FaultInjected
 from repro.lang.errors import MiniCError
 from repro.obs import tracing as obs_tracing
 from repro.sim.errors import SimError
@@ -50,7 +44,6 @@ KIND_COMPILE = "compile-error"
 KIND_SIM_TRAP = "sim-trap"
 KIND_WORKER_CRASH = "worker-crash"
 KIND_TIMEOUT = "timeout"
-KIND_CACHE = "cache-error"
 KIND_UNKNOWN = "unknown"
 
 FAILURE_KINDS = (
@@ -58,7 +51,6 @@ FAILURE_KINDS = (
     KIND_SIM_TRAP,
     KIND_WORKER_CRASH,
     KIND_TIMEOUT,
-    KIND_CACHE,
     KIND_UNKNOWN,
 )
 
@@ -66,9 +58,9 @@ FAILURE_KINDS = (
 class WorkloadTimeout(Exception):
     """A workload exceeded its wall-clock budget.
 
-    Raised by the serial watchdog (which pauses the simulator at an
-    instruction boundary) and synthesized by the parallel runner when a
-    pool task misses its parent-side deadline.
+    Raised by the watchdog (which pauses the simulator at an instruction
+    boundary, serially or inside a pool worker) and synthesized by the
+    parallel runner when a pool task misses its parent-side deadline.
     """
 
     def __init__(
@@ -122,8 +114,6 @@ def classify_failure(
         kind = KIND_SIM_TRAP
     elif isinstance(exc, (AsmError, MiniCError)):
         kind = KIND_COMPILE
-    elif isinstance(exc, (OSError, pickle.PickleError, EOFError, FaultInjected)):
-        kind = KIND_CACHE if _looks_like_cache(exc) else KIND_UNKNOWN
     else:
         kind = KIND_UNKNOWN
     formatted = "".join(
@@ -141,11 +131,6 @@ def classify_failure(
     )
 
 
-def _looks_like_cache(exc: BaseException) -> bool:
-    site = getattr(exc, "site", "")
-    return isinstance(site, str) and site.startswith("cache.")
-
-
 def note_failure(record: FailureRecord) -> None:
     """Emit a zero-length ``failure`` span so traces show what broke where."""
     tracer = obs_tracing.current_tracer()
@@ -159,77 +144,6 @@ def note_failure(record: FailureRecord) -> None:
             injected=record.injected,
         )
         tracer.end("failure")
-
-
-# -- recovery policy ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """How the suite responds to failing workloads."""
-
-    #: ``True`` (default) raises on the first error — historical behaviour.
-    strict: bool = True
-    #: Bounded retries for transient failures (attempts = retries + 1).
-    retries: int = 2
-    #: Per-workload wall-clock budget (None = no watchdog).
-    timeout_s: Optional[float] = None
-    #: Exponential backoff base / cap between retry attempts.
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    #: Seed for the deterministic backoff jitter.
-    seed: int = 0
-
-    def backoff_seconds(self, workload: str, attempt: int) -> float:
-        """Capped exponential backoff with deterministic jitter."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        digest = hashlib.sha256(
-            f"{self.seed}:{workload}:{attempt}".encode()
-        ).digest()
-        jitter = int.from_bytes(digest[:4], "big") / float(1 << 32)
-        return base * (1.0 + jitter)
-
-
-def resolve_policy(
-    policy: Optional[RecoveryPolicy] = None,
-    strict: Optional[bool] = None,
-    retries: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-) -> RecoveryPolicy:
-    """Merge convenience keyword overrides into a policy."""
-    base = policy if policy is not None else RecoveryPolicy()
-    overrides = {}
-    if strict is not None:
-        overrides["strict"] = strict
-    if retries is not None:
-        overrides["retries"] = retries
-    if timeout_s is not None:
-        overrides["timeout_s"] = timeout_s
-    return dataclasses.replace(base, **overrides) if overrides else base
-
-
-def plan_next_action(
-    record: FailureRecord,
-    *,
-    attempt: int,
-    retries: int,
-    transient_timeouts: bool = True,
-) -> str:
-    """``"retry"`` / ``"fail"`` for a classified failure.
-
-    ``transient_timeouts=False`` (serial runs) treats timeouts as
-    permanent: the simulator is deterministic, so a sliced re-run would
-    burn the same wall clock and time out again.  Pool timeouts stay
-    retryable — a hung worker is an infrastructure flake, not a
-    property of the workload.
-    """
-    if record.kind in (KIND_COMPILE, KIND_SIM_TRAP):
-        return "fail"
-    if record.kind == KIND_TIMEOUT and not transient_timeouts:
-        return "fail"
-    if attempt >= retries + 1:
-        return "fail"
-    return "retry"
 
 
 # -- partial results ---------------------------------------------------

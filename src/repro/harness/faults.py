@@ -1,22 +1,19 @@
-"""Deterministic, seeded fault injection for the suite harness.
+"""Deterministic fault injection for the suite harness.
 
-Every recovery path in the harness (retry, watchdog, terminal engine
-traps, cache self-healing — see :mod:`repro.harness.failures`)
-is exercised through *this* registry rather than through prod-only test
-hooks: the production code calls :func:`check` / :func:`should_fire` at
-a small catalog of named sites, and an armed :class:`FaultPlan` decides
-— deterministically — whether the fault fires.  With no plan armed the
-site checks are a single module-attribute test, so zero-fault runs pay
-nothing measurable.
+Every surviving recovery path in the harness (pool retry after a lost
+worker, watchdog deadlines, terminal engine traps and compile errors,
+cache self-healing — see :mod:`repro.harness.failures`) is exercised
+through *this* registry rather than through prod-only test hooks: the
+production code calls :func:`check` / :func:`should_fire` at a small
+catalog of named sites, and an armed :class:`FaultPlan` decides
+whether the fault fires.  With no plan armed the site checks are a
+single module-attribute test, so zero-fault runs pay nothing
+measurable.
 
-Plans are armed three ways:
-
-* ``SuiteConfig.fault_plan`` — a spec string carried by the run
-  configuration (and therefore by the cache key, so faulted runs can
-  never serve or poison clean cache entries);
-* the ``REPRO_FAULTS`` environment variable (same grammar), seeded by
-  ``REPRO_FAULTS_SEED`` — how the CI chaos job arms itself;
-* :func:`install_plan` directly (tests).
+A plan is armed by ``SuiteConfig.fault_plan`` (``repro-run --faults``)
+— a spec string carried by the run configuration and therefore by the
+cache key, so faulted runs can never serve or poison clean cache
+entries.  Tests may also call :func:`install_plan` directly.
 
 Spec grammar (comma-separated)::
 
@@ -24,16 +21,14 @@ Spec grammar (comma-separated)::
 
     worker.crash:go            crash go's worker (every attempt)
     worker.crash:go@1          crash only go's first attempt
-    engine.predecode_raise:*:2 fail the first two predecoded runs
+    engine.raise:*:2           fail the first two simulator runs
     cache.corrupt:compress     corrupt compress's cache entry on store
-    asm.error:li:p0.5          fail li's assembly with probability 0.5
 
-``times`` bounds how often a spec fires (``*`` = unlimited, default 1);
-``p<float>`` makes firing probabilistic, driven by a seeded LCG so the
-same seed always injects the same faults.  Counts are per installed
-plan: pool workers re-install the plan from the config for every task,
-so worker-site specs fire per *attempt* (which is what chaos tests
-want), while a serial suite shares one plan across all its workloads.
+``times`` bounds how often a spec fires (``*`` = unlimited, default 1).
+Counts are per installed plan: pool workers re-install the plan from
+the config for every task, so worker-site specs fire per *attempt*
+(which is what chaos tests want), while a serial suite shares one plan
+across all its workloads.
 """
 
 from __future__ import annotations
@@ -41,16 +36,12 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.errors import AsmError
 from repro.obs import metrics as obs_metrics
 from repro.sim.errors import SimError
-
-#: Environment variables arming the harness outside of SuiteConfig.
-FAULTS_ENV = "REPRO_FAULTS"
-FAULTS_SEED_ENV = "REPRO_FAULTS_SEED"
 
 #: How long an injected hang sleeps.  Bounded (not infinite) so a
 #: broken watchdog stalls a test run by a minute, not forever.
@@ -59,11 +50,10 @@ HANG_SECONDS = 60.0
 #: The injection-site catalog: site name -> what firing does.
 SITES: Dict[str, str] = {
     "worker.crash": "pool worker dies with os._exit (BrokenProcessPool)",
-    "worker.hang": f"pool worker sleeps {HANG_SECONDS:.0f}s (watchdog timeout)",
+    "worker.hang": f"pool worker sleeps {HANG_SECONDS:.0f}s (parent deadline kill)",
     "cache.corrupt": "persistent-cache entry is scribbled after a store",
     "cache.torn_write": "persistent-cache store dies mid-write (before replace)",
-    "engine.predecode_raise": "predecoded engine raises SimError at run start",
-    "engine.interp_raise": "interpreter engine raises SimError at run start",
+    "engine.raise": "the configured engine raises SimError at run start",
     "asm.error": "workload assembly raises AsmError",
 }
 
@@ -89,37 +79,28 @@ class FaultSpec:
     workload: str = "*"
     attempt: Optional[int] = None
     times: Optional[int] = 1  # None = unlimited
-    probability: Optional[float] = None
     fired: int = 0
 
     @classmethod
     def parse(cls, token: str) -> "FaultSpec":
-        parts = token.strip().split(":")
-        site = parts[0].strip()
+        parts = [part.strip() for part in token.strip().split(":")]
+        site = parts[0]
         if site not in SITES:
             known = ", ".join(sorted(SITES))
             raise ValueError(f"unknown fault site {site!r} (known: {known})")
-        workload, attempt = "*", None
-        if len(parts) > 1 and parts[1]:
-            workload = parts[1].strip()
-            if "@" in workload:
-                workload, attempt_text = workload.split("@", 1)
-                workload = workload or "*"
-                attempt = int(attempt_text)
-        times: Optional[int] = 1
-        probability = None
-        if len(parts) > 2 and parts[2]:
-            bound = parts[2].strip()
-            if bound == "*":
-                times = None
-            elif bound.startswith("p"):
-                probability = float(bound[1:])
-                times = None
-            else:
-                times = int(bound)
         if len(parts) > 3:
             raise ValueError(f"malformed fault spec {token!r}")
-        return cls(site, workload, attempt, times, probability)
+        workload, attempt, times = "*", None, 1
+        try:
+            if len(parts) > 1 and parts[1]:
+                workload, _, attempt_text = parts[1].partition("@")
+                workload = workload or "*"
+                attempt = int(attempt_text) if attempt_text else None
+            if len(parts) > 2 and parts[2]:
+                times = None if parts[2] == "*" else int(parts[2])
+        except ValueError:
+            raise ValueError(f"malformed fault spec {token!r}") from None
+        return cls(site, workload, attempt, times)
 
     def matches(self, site: str, workload: Optional[str], attempt: Optional[int]) -> bool:
         if site != self.site:
@@ -133,47 +114,31 @@ class FaultSpec:
         return True
 
 
-class _Lcg:
-    """Tiny deterministic generator for probabilistic specs."""
-
-    def __init__(self, seed: int) -> None:
-        self._state = (seed ^ 0x5DEECE66D) & 0x7FFFFFFF
-
-    def next_unit(self) -> float:
-        self._state = (self._state * 1103515245 + 12345) & 0x7FFFFFFF
-        return self._state / float(0x80000000)
-
-
 class FaultPlan:
-    """A parsed set of :class:`FaultSpec` plus the seeded random source."""
+    """A parsed set of :class:`FaultSpec`."""
 
-    def __init__(self, specs: Tuple[FaultSpec, ...], seed: int = 0, text: str = "") -> None:
+    def __init__(self, specs: Tuple[FaultSpec, ...], text: str = "") -> None:
         self.specs = tuple(specs)
-        self.seed = seed
         self.text = text
-        self._rng = _Lcg(seed)
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "FaultPlan":
+    def parse(cls, text: str) -> "FaultPlan":
         specs = tuple(
             FaultSpec.parse(token) for token in text.split(",") if token.strip()
         )
         if not specs:
             raise ValueError(f"empty fault plan {text!r}")
-        return cls(specs, seed=seed, text=text)
+        return cls(specs, text=text)
 
     def should_fire(
         self, site: str, workload: Optional[str], attempt: Optional[int]
     ) -> Optional[FaultSpec]:
         """The first matching spec that fires now, updating its count."""
         for spec in self.specs:
-            if not spec.matches(site, workload, attempt):
-                continue
-            if spec.probability is not None and self._rng.next_unit() >= spec.probability:
-                continue
-            spec.fired += 1
-            obs_metrics.REGISTRY.inc(f"fault.injected.{site}")
-            return spec
+            if spec.matches(site, workload, attempt):
+                spec.fired += 1
+                obs_metrics.REGISTRY.inc(f"fault.injected.{site}")
+                return spec
         return None
 
 
@@ -201,29 +166,22 @@ def armed() -> bool:
 
 
 def resolve_plan(spec: Optional[str]) -> Optional[FaultPlan]:
-    """Plan from an explicit spec string, else ``$REPRO_FAULTS``, else None."""
-    text = spec or os.environ.get(FAULTS_ENV)
-    if not text:
-        return None
-    seed = int(os.environ.get(FAULTS_SEED_ENV, "0") or "0")
-    return FaultPlan.parse(text, seed=seed)
+    """The plan a ``SuiteConfig.fault_plan`` spec arms (None when unset)."""
+    return FaultPlan.parse(spec) if spec else None
 
 
 @contextmanager
 def armed_plan(spec: Optional[str]):
-    """Arm the plan resolved from ``spec``/env for the block.
+    """Arm the plan parsed from ``spec`` for the block.
 
     An already-armed plan is kept (so a suite-level plan persists its
-    fired counts across the workloads it runs); otherwise the resolved
+    fired counts across the workloads it runs); otherwise the parsed
     plan is installed on entry and disarmed on exit.
     """
-    if _ACTIVE is not None:
+    if _ACTIVE is not None or not spec:
         yield _ACTIVE
         return
-    plan = resolve_plan(spec)
-    if plan is None:
-        yield None
-        return
+    plan = FaultPlan.parse(spec)
     install_plan(plan)
     try:
         yield plan
@@ -278,7 +236,7 @@ def check(site: str, workload: Optional[str] = None) -> None:
     if site == "worker.hang":
         time.sleep(HANG_SECONDS)
         return
-    if site in ("engine.predecode_raise", "engine.interp_raise"):
+    if site == "engine.raise":
         error = SimError(f"injected fault at {site}")
         error.injected = True
         raise error

@@ -21,17 +21,22 @@ parent merges them, adds per-worker task counts and durations
 own tracer — so ``run_suite(jobs=N)`` reports the same aggregate
 numbers a serial run would, plus the fan-out shape.
 
-Fault tolerance (see :mod:`repro.harness.failures`) is round-based:
-each round submits the still-pending workloads to a fresh pool, then
-classifies what came back.  A crashed worker (``BrokenProcessPool``)
-poisons every in-flight future, so survivors are harvested, the
-casualties retried in the next round's fresh pool, and only workloads
-that exhaust their retries become terminal failures.  A parent-side
-round deadline (derived from ``RecoveryPolicy.timeout_s``) catches hard
-hangs the in-worker watchdog cannot: the pool processes are killed and
-the unfinished workloads synthesized into ``WorkloadTimeout`` records.
-``strict`` policies re-raise the first failure after the round drains,
-preserving the historical behaviour.
+Fault tolerance (see :mod:`repro.harness.failures`) is round-based,
+with one rule: a workload's own failure is terminal, and a task the
+pool *lost* is retried.  Each round submits the still-pending workloads
+and sorts every completion into ``ok``, ``err`` (anything raised inside
+the worker, including its own watchdog's ``WorkloadTimeout``) or
+``lost``.  A task is lost when its worker died (``BrokenProcessPool``
+poisons every in-flight future of that pool, so finished poolmates are
+harvested first) or when the parent-side round deadline — the
+workload budget plus :data:`ROUND_GRACE_S`, which catches hangs the
+in-worker watchdog cannot — SIGKILLed its pool and synthesized a
+``WorkloadTimeout``.  Lost tasks go to the next round, which gives
+every task its own single-worker pool, so a repeat crasher or hanger
+can only take itself down; a task still lost after
+:data:`MAX_ATTEMPTS` is a terminal failure.  ``strict`` runs re-raise
+the first failure after the round drains, preserving the historical
+behaviour.
 """
 
 from __future__ import annotations
@@ -43,26 +48,27 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.harness import faults, runner
 from repro.harness.failures import (
     FailureRecord,
-    RecoveryPolicy,
     SuiteReport,
     WorkloadTimeout,
     classify_failure,
     note_failure,
-    plan_next_action,
 )
 from repro.harness.runner import SuiteConfig, WorkloadResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing as obs_tracing
-from repro.workloads import WORKLOAD_ORDER, get_workload
+from repro.workloads import get_workload
 
 #: Parent-side slack on top of the per-workload budget: covers pool
 #: spawn, assembly, and result pickling around the simulate phase.
 ROUND_GRACE_S = 3.0
+
+#: Attempts a lost task gets (the first run plus two retries).
+MAX_ATTEMPTS = 3
 
 
 def _run_one(
@@ -72,8 +78,8 @@ def _run_one(
     telemetry: bool,
     trace: bool,
     profile: bool,
-    attempt: int = 1,
-    timeout_s: Optional[float] = None,
+    attempt: int,
+    timeout_s: Optional[float],
 ) -> Tuple[WorkloadResult, dict]:
     """Worker entry point: simulate one workload in a fresh process.
 
@@ -117,14 +123,6 @@ def _run_one(
         obs_tracing.install_tracer(None)
 
 
-@dataclasses.dataclass
-class _Task:
-    """One pending workload in the retry loop."""
-
-    name: str
-    attempt: int = 1
-
-
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Hard-stop a pool whose workers may be hung (SIGKILL, no waiting)."""
     processes = getattr(pool, "_processes", None) or {}
@@ -136,6 +134,15 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _outcome(future) -> Tuple[str, object]:
+    try:
+        return "ok", future.result()
+    except BrokenProcessPool as exc:
+        return "lost", exc
+    except Exception as exc:
+        return "err", exc
+
+
 def _drain(
     futures: Dict[object, str],
     budget: Optional[float],
@@ -144,97 +151,100 @@ def _drain(
 ) -> bool:
     """Collect every future into ``outcomes``; True if the budget lapsed.
 
-    A ``BrokenProcessPool`` poisons every in-flight future of its pool;
-    ``as_completed`` still drains them all, so tasks that finished
-    before the breakage are harvested as successes.
+    ``as_completed`` drains a broken pool's futures too, so tasks that
+    finished before the breakage are harvested as successes.  Tasks
+    still running when the budget lapses are lost to the deadline.
     """
     try:
         for future in as_completed(futures, timeout=budget):
-            name = futures[future]
-            try:
-                outcomes[name] = ("ok", future.result())
-            except Exception as exc:
-                outcomes[name] = ("err", exc)
+            outcomes[futures[future]] = _outcome(future)
         return False
     except FuturesTimeout:
         for future, name in futures.items():
-            if name in outcomes:
-                continue
-            if future.done():
-                try:
-                    outcomes[name] = ("ok", future.result())
-                except Exception as exc:
-                    outcomes[name] = ("err", exc)
-            else:
-                outcomes[name] = ("err", WorkloadTimeout(name, timeout_s or 0.0))
+            if name not in outcomes:
+                outcomes[name] = (
+                    _outcome(future)
+                    if future.done()
+                    else ("lost", WorkloadTimeout(name, timeout_s or 0.0))
+                )
         return True
 
 
-def _run_round(
-    tasks: List[_Task],
-    config: SuiteConfig,
-    workers: int,
-    cache_dir: Optional[str],
-    telemetry: bool,
-    trace: bool,
-    profile: bool,
+def _run_pools(
+    assignment: List[Tuple[ProcessPoolExecutor, str]],
+    submit: Callable[[ProcessPoolExecutor, str], object],
+    budget: Optional[float],
     timeout_s: Optional[float],
-    isolate: bool = False,
-) -> Dict[str, Tuple[str, object]]:
-    """Submit ``tasks`` to fresh pool(s); classify every completion.
-
-    Returns ``{name: ("ok", (result, meta)) | ("err", exception)}``.
-    ``isolate=True`` (used after a pool breakage) gives every task its
-    own single-worker pool, so a repeat-crasher cannot poison the
-    futures of innocent workloads sharing its pool.
-    """
-
-    def _submit(pool: ProcessPoolExecutor, task: _Task):
-        return pool.submit(
-            _run_one,
-            task.name,
-            config,
-            cache_dir,
-            telemetry,
-            trace,
-            profile,
-            task.attempt,
-            timeout_s,
-        )
-
-    outcomes: Dict[str, Tuple[str, object]] = {}
-    if isolate:
-        # Waves of at most `workers` concurrent one-task pools.
-        for start in range(0, len(tasks), workers):
-            wave = tasks[start : start + workers]
-            pools = [ProcessPoolExecutor(max_workers=1) for _ in wave]
-            futures = {
-                _submit(pool, task): task.name for pool, task in zip(pools, wave)
-            }
-            budget = None if timeout_s is None else timeout_s + ROUND_GRACE_S
-            timed_out = _drain(futures, budget, timeout_s, outcomes)
-            for pool in pools:
-                if timed_out:
-                    _kill_pool(pool)
-                else:
-                    pool.shutdown(wait=True)
-        return outcomes
-
-    budget = None
-    if timeout_s is not None:
-        waves = math.ceil(len(tasks) / workers)
-        budget = timeout_s * waves + ROUND_GRACE_S
-    pool = ProcessPoolExecutor(max_workers=workers)
+    outcomes: Dict[str, Tuple[str, object]],
+) -> None:
+    """Run each ``(pool, name)``; SIGKILL the pools if the budget lapses."""
+    pools = list(dict.fromkeys(pool for pool, _ in assignment))
     timed_out = False
     try:
-        futures = {_submit(pool, task): task.name for task in tasks}
+        futures = {submit(pool, name): name for pool, name in assignment}
         timed_out = _drain(futures, budget, timeout_s, outcomes)
     finally:
-        if timed_out:
-            _kill_pool(pool)
-        else:
-            pool.shutdown(wait=True)
+        for pool in pools:
+            if timed_out:
+                _kill_pool(pool)
+            else:
+                pool.shutdown(wait=True)
+
+
+def _run_round(
+    names: List[str],
+    attempt: int,
+    workers: int,
+    run_args: tuple,
+    timeout_s: Optional[float],
+) -> Dict[str, Tuple[str, object]]:
+    """Run one round of ``names``; ``{name: (status, payload)}``.
+
+    ``status`` is ``"ok"`` (payload ``(result, meta)``), ``"err"`` or
+    ``"lost"`` (payload the exception).  The first round shares one
+    pool; retry rounds give every task its own single-worker pool, in
+    waves of at most ``workers``.
+    """
+
+    def submit(pool: ProcessPoolExecutor, name: str):
+        return pool.submit(_run_one, name, *run_args, attempt, timeout_s)
+
+    outcomes: Dict[str, Tuple[str, object]] = {}
+    if attempt == 1:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        budget = None
+        if timeout_s is not None:
+            budget = timeout_s * math.ceil(len(names) / workers) + ROUND_GRACE_S
+        assignment = [(pool, name) for name in names]
+        _run_pools(assignment, submit, budget, timeout_s, outcomes)
+        return outcomes
+    budget = None if timeout_s is None else timeout_s + ROUND_GRACE_S
+    for start in range(0, len(names), workers):
+        wave = [
+            (ProcessPoolExecutor(max_workers=1), name)
+            for name in names[start : start + workers]
+        ]
+        _run_pools(wave, submit, budget, timeout_s, outcomes)
     return outcomes
+
+
+def _annotate(
+    result: WorkloadResult, history: List[FailureRecord], attempts: int
+) -> WorkloadResult:
+    """A copy of ``result`` whose manifest records its recovery story.
+
+    Copies (``dataclasses.replace``) so the cache layers keep the
+    pristine object: only the caller that saw the lost attempts gets
+    them in its manifest.
+    """
+    if result.manifest is None:
+        return result
+    manifest = dataclasses.replace(
+        result.manifest,
+        attempts=attempts,
+        failures=[record.to_dict() for record in history],
+    )
+    return dataclasses.replace(result, manifest=manifest)
 
 
 def run_suite_parallel(
@@ -242,71 +252,49 @@ def run_suite_parallel(
     names: Optional[Iterable[str]] = None,
     jobs: int = 2,
     profile: bool = False,
-    policy: Optional[RecoveryPolicy] = None,
+    strict: bool = True,
+    timeout_s: Optional[float] = None,
 ) -> SuiteReport:
     """Run the suite with up to ``jobs`` worker processes.
 
-    Returns a :class:`SuiteReport`; under the default strict policy the
+    Returns a :class:`SuiteReport`; under the default ``strict`` the
     first worker failure re-raises, exactly like the serial path.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    selected = tuple(names) if names is not None else WORKLOAD_ORDER
-    if len(set(selected)) != len(selected):
-        seen = set()
-        dupes = sorted({n for n in selected if n in seen or seen.add(n)})
-        raise ValueError(f"duplicate workload names: {', '.join(dupes)}")
-    effective = policy if policy is not None else RecoveryPolicy()
+    selected = runner.select_workloads(names)
 
     report = SuiteReport(config=config)
     registry = obs_metrics.REGISTRY
     results: Dict[str, WorkloadResult] = {}
     histories: Dict[str, List[FailureRecord]] = {}
-    pending: List[_Task] = []
+    pending: List[str] = []
     for name in selected:
         cached = runner.cached_result(get_workload(name), config)
         if cached is not None:
             results[name] = cached
         else:
-            pending.append(_Task(name=name))
+            pending.append(name)
 
     telemetry = registry.enabled
     parent_tracer = obs_tracing.current_tracer()
     cache_dir = runner.cache_directory()
-    isolate = False
-    while pending:
-        workers = max(1, min(jobs, len(pending)))
-        outcomes = _run_round(
-            pending,
-            config,
-            workers,
-            cache_dir,
-            telemetry,
-            parent_tracer is not None,
-            profile,
-            effective.timeout_s,
-            isolate=isolate,
-        )
-        if any(
-            isinstance(payload, BrokenProcessPool)
-            for status, payload in outcomes.values()
-            if status == "err"
-        ):
-            # A crashed worker poisons its poolmates' futures: retry the
-            # casualties in per-task pools so innocents can finish.
-            isolate = True
-        next_round: List[_Task] = []
-        backoff = 0.0
-        for task in pending:
-            status, payload = outcomes[task.name]
+    run_args = (config, cache_dir, telemetry, parent_tracer is not None, profile)
+    for attempt in range(1, MAX_ATTEMPTS + 1):
+        if not pending:
+            break
+        workers = min(jobs, len(pending))
+        outcomes = _run_round(pending, attempt, workers, run_args, timeout_s)
+        lost: List[str] = []
+        for name in pending:
+            status, payload = outcomes[name]
             if status == "ok":
                 result, meta = payload
                 # The worker already wrote the disk entry when enabled.
                 runner.install_result(result, config, to_disk=cache_dir is None)
-                history = histories.get(task.name, [])
-                if history:
-                    result = runner._annotate_result(result, history, task.attempt)
-                results[task.name] = result
+                if name in histories:
+                    result = _annotate(result, histories[name], attempt)
+                results[name] = result
                 if meta["metrics"] is not None:
                     registry.merge(meta["metrics"])
                 if telemetry:
@@ -319,33 +307,20 @@ def run_suite_parallel(
                 if parent_tracer is not None and meta["trace_events"]:
                     parent_tracer.extend(meta["trace_events"])
                 continue
-            exc = payload
             record = classify_failure(
-                exc,
-                workload=task.name,
-                engine=config.engine,
-                attempt=task.attempt,
+                payload, workload=name, engine=config.engine, attempt=attempt
             )
-            histories.setdefault(task.name, []).append(record)
+            histories.setdefault(name, []).append(record)
             note_failure(record)
-            if effective.strict:
-                raise exc
-            action = plan_next_action(
-                record, attempt=task.attempt, retries=effective.retries
-            )
-            if action == "retry":
+            if strict:
+                raise payload
+            if status == "lost" and attempt < MAX_ATTEMPTS:
                 registry.inc("retry.attempts")
-                backoff = max(
-                    backoff, effective.backoff_seconds(task.name, task.attempt)
-                )
-                task.attempt += 1
-                next_round.append(task)
+                lost.append(name)
             else:
-                report.failures[task.name] = record
+                report.failures[name] = record
                 registry.inc("suite.partial_failures")
-        pending = next_round
-        if pending and backoff > 0.0:
-            time.sleep(backoff)
+        pending = lost
 
     for history in histories.values():
         report.history.extend(history)

@@ -18,11 +18,10 @@ any worker is spawned.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.function_analysis import FunctionAnalysisReport, FunctionAnalyzer
 from repro.core.global_analysis import GlobalAnalysisReport, GlobalSourceAnalyzer
@@ -33,15 +32,11 @@ from repro.core.value_profile import GlobalLoadValueProfiler, ValueProfileReport
 from repro.harness import faults
 from repro.harness.cache import ResultCache, default_cache_dir, source_digest
 from repro.harness.failures import (
-    FailureRecord,
-    RecoveryPolicy,
     SuiteReport,
     Watchdog,
     WorkloadTimeout,
     classify_failure,
     note_failure,
-    plan_next_action,
-    resolve_policy,
 )
 from repro.obs import metrics as obs_metrics
 from repro.obs import profiling as obs_profiling
@@ -302,73 +297,14 @@ def _compute_workload(
     return result
 
 
-def _annotate_result(
-    result: WorkloadResult,
-    history: List[FailureRecord],
-    attempts: int,
-) -> WorkloadResult:
-    """A copy of ``result`` whose manifest records its recovery story.
-
-    Copies (``dataclasses.replace``) so the cache layers keep the
-    pristine object: only the caller that saw the failed attempts gets
-    them in its manifest.
-    """
-    if result.manifest is None:
-        return result
-    manifest = dataclasses.replace(
-        result.manifest,
-        attempts=attempts,
-        failures=[record.to_dict() for record in history],
-    )
-    return dataclasses.replace(result, manifest=manifest)
-
-
-def run_workload_recovering(
-    workload: Workload,
-    config: SuiteConfig,
-    policy: RecoveryPolicy,
-    profile: bool = False,
-) -> Tuple[Optional[WorkloadResult], List[FailureRecord]]:
-    """Run one workload under the recovery policy (serial path).
-
-    Returns ``(result, failed_attempts)``; ``result`` is ``None`` when
-    every attempt failed (the last record in the history is terminal).
-    With ``policy.strict`` the first failure re-raises instead.
-    """
-    registry = obs_metrics.REGISTRY
-    history: List[FailureRecord] = []
-    attempt = 1
-    while True:
-        try:
-            with faults.scope(workload=workload.name, attempt=attempt):
-                result = run_workload(
-                    workload, config, profile=profile, deadline_s=policy.timeout_s
-                )
-        except Exception as exc:
-            record = classify_failure(
-                exc, workload=workload.name, engine=config.engine, attempt=attempt
-            )
-            history.append(record)
-            note_failure(record)
-            if policy.strict:
-                raise
-            action = plan_next_action(
-                record,
-                attempt=attempt,
-                retries=policy.retries,
-                # A serial timeout is deterministic: the same workload
-                # would burn the same wall clock again.
-                transient_timeouts=False,
-            )
-            if action == "retry":
-                registry.inc("retry.attempts")
-                time.sleep(policy.backoff_seconds(workload.name, attempt))
-                attempt += 1
-                continue
-            return None, history
-        if history:
-            result = _annotate_result(result, history, attempt)
-        return result, history
+def select_workloads(names: Optional[Iterable[str]] = None) -> Tuple[str, ...]:
+    """The suite order (``names`` or all eight), rejecting duplicates."""
+    selected = tuple(names) if names is not None else WORKLOAD_ORDER
+    if len(set(selected)) != len(selected):
+        seen = set()
+        dupes = sorted({n for n in selected if n in seen or seen.add(n)})
+        raise ValueError(f"duplicate workload names: {', '.join(dupes)}")
+    return selected
 
 
 def run_suite(
@@ -376,9 +312,7 @@ def run_suite(
     names: Optional[Iterable[str]] = None,
     jobs: int = 1,
     profile: bool = False,
-    policy: Optional[RecoveryPolicy] = None,
-    strict: Optional[bool] = None,
-    retries: Optional[int] = None,
+    strict: bool = True,
     timeout_s: Optional[float] = None,
 ) -> SuiteReport:
     """Run the whole suite (or ``names``) and return results in order.
@@ -389,32 +323,37 @@ def run_suite(
 
     The return value is a :class:`SuiteReport` — a dict of surviving
     ``WorkloadResult`` in suite order, plus ``failures``/``history``.
-    Under the default strict policy the first error still raises, so
-    existing callers see exactly the historical behaviour.
+    ``strict`` (the default) raises the first error; ``strict=False``
+    records it and keeps going.  ``timeout_s`` is the per-workload
+    wall-clock budget.  A serial run makes exactly one attempt per
+    workload: the simulator is deterministic, so a failure is terminal.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    selected = tuple(names) if names is not None else WORKLOAD_ORDER
-    effective = resolve_policy(policy, strict, retries, timeout_s)
+    selected = select_workloads(names)
     if jobs > 1:
         from repro.harness.parallel import run_suite_parallel
 
         return run_suite_parallel(
-            config, selected, jobs=jobs, profile=profile, policy=effective
+            config, selected, jobs, profile, strict=strict, timeout_s=timeout_s
         )
     report = SuiteReport(config=config)
-    registry = obs_metrics.REGISTRY
     with faults.armed_plan(config.fault_plan):
         for name in selected:
-            result, failed = run_workload_recovering(
-                get_workload(name), config, effective, profile=profile
-            )
-            report.history.extend(failed)
-            if result is not None:
-                report[name] = result
-            else:
-                report.failures[name] = failed[-1]
-                registry.inc("suite.partial_failures")
+            workload = get_workload(name)
+            try:
+                with faults.scope(workload=name, attempt=1):
+                    report[name] = run_workload(
+                        workload, config, profile=profile, deadline_s=timeout_s
+                    )
+            except Exception as exc:
+                record = classify_failure(exc, workload=name, engine=config.engine)
+                note_failure(record)
+                if strict:
+                    raise
+                report.history.append(record)
+                report.failures[name] = record
+                obs_metrics.REGISTRY.inc("suite.partial_failures")
     return report
 
 

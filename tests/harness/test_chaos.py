@@ -3,9 +3,12 @@
 Every recovery path in the harness is proven here against the
 deterministic fault-injection sites of :mod:`repro.harness.faults`:
 worker crashes, hangs, engine traps, assembly errors, cache rot, and
-watchdog timeouts.  The core invariant throughout: whatever happens to
-the faulted workload, the *surviving* results are bit-identical
-(via :func:`result_digest`) to a fault-free run.
+watchdog timeouts.  The rule under test: a workload's own failure is
+terminal after one attempt; only a task the pool lost (dead worker,
+parent deadline) is retried, up to ``MAX_ATTEMPTS``.  The core
+invariant throughout: whatever happens to the faulted workload, the
+*surviving* results are bit-identical (via :func:`result_digest`) to a
+fault-free run.
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ from repro.harness.failures import (
     KIND_SIM_TRAP,
     KIND_TIMEOUT,
     KIND_WORKER_CRASH,
-    RecoveryPolicy,
     SuiteReport,
     WorkloadTimeout,
     result_digest,
 )
+from repro.harness.parallel import MAX_ATTEMPTS
 from repro.harness.runner import SuiteConfig, run_suite, set_cache_dir
 from repro.obs import metrics as obs_metrics
 from repro.sim.errors import SimError
@@ -71,19 +74,15 @@ def baselines():
 
 class TestWorkerCrash:
     def test_partial_results_with_terminal_crash(self, baselines, metrics_enabled):
-        """Acceptance: crasher fails with attempts == retries + 1, the
+        """Acceptance: crasher fails with attempts == MAX_ATTEMPTS, the
         survivors are bit-identical to a fault-free run."""
         report = run_suite(
-            _plan("worker.crash:go"),
-            names=_NAMES,
-            jobs=2,
-            strict=False,
-            retries=1,
+            _plan("worker.crash:go"), names=_NAMES, jobs=2, strict=False
         )
         assert isinstance(report, SuiteReport) and report.partial
         record = report.failures["go"]
         assert record.kind == KIND_WORKER_CRASH
-        assert record.attempts == 1 + 1  # retries + 1
+        assert record.attempts == MAX_ATTEMPTS
         assert "go" not in report
         assert result_digest(report["compress"]) == baselines["compress"]
         assert metrics_enabled.value("suite.partial_failures") == 1
@@ -132,7 +131,7 @@ class TestEngineTraps:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_predecode_trap_is_terminal(self, jobs, baselines, metrics_enabled):
-        config = _plan("engine.predecode_raise:go")
+        config = _plan("engine.raise:go")
         report = run_suite(config, names=_NAMES, jobs=jobs, strict=False)
         record = report.failures["go"]
         assert record.kind == KIND_SIM_TRAP and record.injected
@@ -146,7 +145,7 @@ class TestEngineTraps:
 
     def test_interpreter_trap_is_terminal(self, baselines):
         report = run_suite(
-            _plan("engine.interp_raise:go", engine="interpreter"),
+            _plan("engine.raise:go", engine="interpreter"),
             names=_NAMES,
             jobs=1,
             strict=False,
@@ -158,8 +157,8 @@ class TestEngineTraps:
         assert result_digest(report["compress"]) == baselines["compress"]
 
     def test_strict_raises_the_trap(self):
-        with pytest.raises(SimError, match="engine.predecode_raise"):
-            run_suite(_plan("engine.predecode_raise:go"), names=("go",))
+        with pytest.raises(SimError, match="engine.raise"):
+            run_suite(_plan("engine.raise:go"), names=("go",))
 
 
 class TestAsmError:
@@ -173,7 +172,6 @@ class TestAsmError:
             names=("go",),
             jobs=jobs,
             strict=False,
-            retries=3,
         )
         record = report.failures["go"]
         assert record.kind == KIND_COMPILE and record.injected
@@ -212,9 +210,7 @@ class TestWatchdog:
         # No instruction limit: compress runs long enough (~190k steps)
         # for a 1ms watchdog to fire mid-simulation.
         config = SuiteConfig()
-        report = run_suite(
-            config, names=_NAMES, strict=False, timeout_s=0.001, retries=3
-        )
+        report = run_suite(config, names=_NAMES, strict=False, timeout_s=0.001)
         assert set(report.failures) == {"go", "compress"}
         for record in report.failures.values():
             assert record.kind == KIND_TIMEOUT
@@ -224,20 +220,37 @@ class TestWatchdog:
         with pytest.raises(WorkloadTimeout):
             run_suite(SuiteConfig(), names=("compress",), timeout_s=0.001)
 
-    def test_parallel_hang_hits_parent_deadline(self, baselines, metrics_enabled):
+    def test_pool_watchdog_timeout_is_terminal(self, metrics_enabled):
+        """The in-worker watchdog is as deterministic as the serial one:
+        its timeout is the workload's own failure, never retried."""
         report = run_suite(
-            _plan("worker.hang:go"),
+            SuiteConfig(), names=_NAMES, jobs=2, strict=False, timeout_s=0.2
+        )
+        assert set(report.failures) == {"go", "compress"}
+        for record in report.failures.values():
+            assert record.kind == KIND_TIMEOUT
+            assert record.attempts == 1
+        assert len(report.history) == 2
+        assert metrics_enabled.value("retry.attempts") == 0
+
+    def test_parallel_hang_hits_parent_deadline(self, baselines, metrics_enabled):
+        """A hang the in-worker watchdog cannot see is lost to the
+        parent's deadline, then recovers in an isolated retry pool."""
+        report = run_suite(
+            _plan("worker.hang:go@1"),
             names=_NAMES,
             jobs=2,
             strict=False,
-            retries=0,
             timeout_s=0.5,
         )
-        record = report.failures["go"]
-        assert record.kind == KIND_TIMEOUT
-        assert record.attempts == 1  # retries=0
+        assert report.ok
+        assert result_digest(report["go"]) == baselines["go"]
         assert result_digest(report["compress"]) == baselines["compress"]
-        assert metrics_enabled.value("suite.partial_failures") == 1
+        manifest = report["go"].manifest
+        assert manifest.attempts == 2
+        assert [record["kind"] for record in manifest.failures] == [KIND_TIMEOUT]
+        assert metrics_enabled.value("retry.attempts") >= 1
+        assert metrics_enabled.value("suite.partial_failures") == 0
 
 
 class TestZeroFaultRuns:

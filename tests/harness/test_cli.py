@@ -76,7 +76,6 @@ class TestRobustnessFlags:
     def test_defaults(self):
         args = build_parser().parse_args([])
         assert args.strict is True
-        assert args.retries == 2
         assert args.timeout_s is None
         assert args.faults is None
 
@@ -85,8 +84,6 @@ class TestRobustnessFlags:
             [
                 "table1",
                 "--no-strict",
-                "--retries",
-                "5",
                 "--timeout-s",
                 "2.5",
                 "--faults",
@@ -94,7 +91,6 @@ class TestRobustnessFlags:
             ]
         )
         assert args.strict is False
-        assert args.retries == 5
         assert args.timeout_s == 2.5
         assert args.faults == "worker.crash:go"
 
@@ -133,9 +129,7 @@ class TestRobustnessFlags:
             main(["table1", "--workloads", "go", "--faults", "asm.error:go"])
 
     def test_clean_run_with_flags_exits_0(self, capsys):
-        code = main(
-            ["table2", "--workloads", "compress", "--no-strict", "--retries", "1"]
-        )
+        code = main(["table2", "--workloads", "compress", "--no-strict"])
         assert code == 0
 
 
@@ -151,6 +145,22 @@ class TestMain:
     def test_unknown_experiment_errors(self, capsys):
         assert main(["tableX"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workloads", "nosuch"], "--workloads: unknown workload(s) nosuch"),
+            (["--workloads", "go,go"], "--workloads: duplicate names in 'go,go'"),
+            (["--jobs", "0"], "--jobs must be a positive integer"),
+            (["--faults", "nonsense"], "--faults: unknown fault site 'nonsense'"),
+            (["--timeout-s", "-1", "--no-strict"], "--timeout-s must be positive"),
+        ],
+    )
+    def test_bad_option_values_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1", *argv])
+        assert excinfo.value.code == 2
+        assert f"repro-run: error: {message}" in capsys.readouterr().err
 
     def test_runs_single_experiment_on_subset(self, capsys):
         code = main(["table2", "--workloads", "m88ksim"])

@@ -1,4 +1,4 @@
-"""Tests for the failure taxonomy, recovery policy, and SuiteReport."""
+"""Tests for the failure taxonomy, SuiteReport, and result digests."""
 
 from __future__ import annotations
 
@@ -8,22 +8,17 @@ import pytest
 
 from repro.asm.errors import AsmError
 from repro.harness.failures import (
-    KIND_CACHE,
     KIND_COMPILE,
     KIND_SIM_TRAP,
     KIND_TIMEOUT,
     KIND_UNKNOWN,
     KIND_WORKER_CRASH,
     FailureRecord,
-    RecoveryPolicy,
     SuiteReport,
     WorkloadTimeout,
     classify_failure,
-    plan_next_action,
-    resolve_policy,
     result_digest,
 )
-from repro.harness.faults import FaultInjected
 from repro.harness.parallel import run_suite_parallel
 from repro.harness.runner import SuiteConfig, run_suite
 from repro.lang.errors import MiniCError
@@ -58,11 +53,6 @@ class TestClassification:
         assert record.kind == KIND_TIMEOUT
         assert "1.5s" in record.message
 
-    def test_cache_fault(self):
-        record = _classify(FaultInjected("cache.torn_write"))
-        assert record.kind == KIND_CACHE
-        assert record.injected  # FaultInjected always carries the marker
-
     def test_unknown(self):
         assert _classify(RuntimeError("boom")).kind == KIND_UNKNOWN
 
@@ -89,72 +79,6 @@ class TestClassification:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.workload == "go" and clone.seconds == 2.0
         assert clone.engine == "interpreter"
-
-
-class TestRecoveryPolicy:
-    def test_defaults_are_strict(self):
-        policy = RecoveryPolicy()
-        assert policy.strict and policy.retries == 2 and policy.timeout_s is None
-
-    def test_backoff_is_deterministic_and_capped(self):
-        policy = RecoveryPolicy(backoff_base_s=0.05, backoff_cap_s=0.2)
-        first = policy.backoff_seconds("go", 1)
-        assert first == policy.backoff_seconds("go", 1)
-        assert policy.backoff_seconds("go", 1) != policy.backoff_seconds("gcc", 1)
-        # Exponential up to the cap, jitter at most +100%.
-        for attempt in range(1, 12):
-            assert 0 < policy.backoff_seconds("go", attempt) <= 0.4
-
-    def test_backoff_varies_with_seed(self):
-        a = RecoveryPolicy(seed=1).backoff_seconds("go", 1)
-        b = RecoveryPolicy(seed=2).backoff_seconds("go", 1)
-        assert a != b
-
-    def test_resolve_policy_overrides(self):
-        policy = resolve_policy(None, strict=False, retries=5, timeout_s=1.0)
-        assert not policy.strict and policy.retries == 5 and policy.timeout_s == 1.0
-        base = RecoveryPolicy(retries=7)
-        assert resolve_policy(base) is base
-        assert resolve_policy(base, strict=False).retries == 7
-
-
-class TestPlanNextAction:
-    def _record(self, kind):
-        return FailureRecord(
-            kind=kind,
-            workload="go",
-            engine="predecoded",
-            attempt=1,
-            message="x",
-            exception_type="X",
-        )
-
-    def test_compile_errors_fail_immediately(self):
-        action = plan_next_action(self._record(KIND_COMPILE), attempt=1, retries=5)
-        assert action == "fail"
-
-    def test_sim_trap_is_terminal(self):
-        # Deterministic, and no other engine is substituted: never retried.
-        action = plan_next_action(self._record(KIND_SIM_TRAP), attempt=1, retries=5)
-        assert action == "fail"
-
-    def test_transient_failures_retry_until_budget(self):
-        record = self._record(KIND_WORKER_CRASH)
-        assert plan_next_action(record, attempt=1, retries=2) == "retry"
-        assert plan_next_action(record, attempt=2, retries=2) == "retry"
-        assert plan_next_action(record, attempt=3, retries=2) == "fail"
-
-    def test_serial_timeouts_are_permanent(self):
-        record = self._record(KIND_TIMEOUT)
-        assert (
-            plan_next_action(record, attempt=1, retries=5, transient_timeouts=False)
-            == "fail"
-        )
-        # Pool timeouts stay retryable (hung worker = infra flake).
-        assert (
-            plan_next_action(record, attempt=1, retries=5, transient_timeouts=True)
-            == "retry"
-        )
 
 
 class TestSuiteReport:
@@ -205,9 +129,10 @@ class TestInputValidation:
         with pytest.raises(ValueError, match="jobs"):
             run_suite_parallel(SuiteConfig(), names=["go"], jobs=0)
 
-    def test_run_suite_parallel_rejects_duplicate_names(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_suite_rejects_duplicate_names(self, jobs):
         with pytest.raises(ValueError, match="duplicate workload names: go"):
-            run_suite_parallel(SuiteConfig(), names=["go", "compress", "go"], jobs=2)
+            run_suite(SuiteConfig(), names=["go", "compress", "go"], jobs=jobs)
 
 
 class TestResultDigest:

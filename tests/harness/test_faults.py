@@ -10,8 +10,6 @@ from repro.asm.errors import AsmError
 from repro.harness import faults
 from repro.harness.cache import ResultCache
 from repro.harness.faults import (
-    FAULTS_ENV,
-    FAULTS_SEED_ENV,
     SITES,
     FaultInjected,
     FaultPlan,
@@ -37,7 +35,7 @@ class TestSpecGrammar:
         spec = FaultSpec.parse("worker.crash")
         assert spec.site == "worker.crash"
         assert spec.workload == "*" and spec.attempt is None
-        assert spec.times == 1 and spec.probability is None
+        assert spec.times == 1
 
     def test_workload_and_attempt(self):
         spec = FaultSpec.parse("worker.crash:go@2")
@@ -46,8 +44,6 @@ class TestSpecGrammar:
     def test_times_bounds(self):
         assert FaultSpec.parse("asm.error:li:3").times == 3
         assert FaultSpec.parse("asm.error:li:*").times is None
-        spec = FaultSpec.parse("asm.error:li:p0.5")
-        assert spec.probability == 0.5 and spec.times is None
 
     def test_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown fault site"):
@@ -56,6 +52,8 @@ class TestSpecGrammar:
     def test_malformed_spec_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
             FaultSpec.parse("worker.crash:go:1:extra")
+        with pytest.raises(ValueError, match="malformed"):
+            FaultSpec.parse("asm.error:li:p0.5")
 
     def test_empty_plan_rejected(self):
         with pytest.raises(ValueError, match="empty fault plan"):
@@ -93,33 +91,9 @@ class TestMatching:
         for _ in range(10):
             assert plan.should_fire("cache.torn_write", None, None)
 
-    def test_probability_is_seed_deterministic(self):
-        def firing_pattern(seed):
-            plan = FaultPlan.parse("cache.torn_write:*:p0.5", seed=seed)
-            return [
-                plan.should_fire("cache.torn_write", None, None) is not None
-                for _ in range(64)
-            ]
-
-        assert firing_pattern(7) == firing_pattern(7)
-        assert firing_pattern(7) != firing_pattern(8)
-        assert any(firing_pattern(7)) and not all(firing_pattern(7))
-
 
 class TestArming:
-    def test_resolve_plan_prefers_explicit_spec(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "worker.hang")
-        plan = faults.resolve_plan("worker.crash:go")
-        assert plan.specs[0].site == "worker.crash"
-
-    def test_resolve_plan_from_env(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "asm.error:li")
-        monkeypatch.setenv(FAULTS_SEED_ENV, "42")
-        plan = faults.resolve_plan(None)
-        assert plan.specs[0].site == "asm.error" and plan.seed == 42
-
-    def test_resolve_plan_none_when_unarmed(self, monkeypatch):
-        monkeypatch.delenv(FAULTS_ENV, raising=False)
+    def test_resolve_plan_none_when_unarmed(self):
         assert faults.resolve_plan(None) is None
 
     def test_armed_plan_installs_and_disarms(self):
@@ -152,11 +126,10 @@ class TestArming:
 
 class TestCheckActions:
     def test_engine_sites_raise_injected_sim_error(self):
-        for site in ("engine.predecode_raise", "engine.interp_raise"):
-            faults.install_plan(FaultPlan.parse(site))
-            with pytest.raises(SimError) as excinfo:
-                faults.check(site)
-            assert excinfo.value.injected is True
+        faults.install_plan(FaultPlan.parse("engine.raise"))
+        with pytest.raises(SimError) as excinfo:
+            faults.check("engine.raise")
+        assert excinfo.value.injected is True
 
     def test_asm_site_raises_injected_asm_error(self):
         faults.install_plan(FaultPlan.parse("asm.error"))
