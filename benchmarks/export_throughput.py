@@ -20,15 +20,8 @@ INSTRUCTIONS_PER_ROUND = 25_000
 
 _SIMULATOR_BENCHMARKS = (
     "test_bare_simulator_throughput",
-    "test_bare_simulator_throughput_metrics_enabled",
     "test_repetition_tracker_throughput",
     "test_full_analysis_stack_throughput",
-)
-
-#: (metered, baseline) pair that telemetry_overhead_pct is derived from.
-_OVERHEAD_PAIR = (
-    "test_bare_simulator_throughput_metrics_enabled",
-    "test_bare_simulator_throughput",
 )
 
 
@@ -45,11 +38,6 @@ def export(source_path: str, dest_path: str) -> dict:
             entry["instructions_per_second"] = round(INSTRUCTIONS_PER_ROUND / mean)
         out["benchmarks"][name] = entry
 
-    metered, baseline = (out["benchmarks"].get(name) for name in _OVERHEAD_PAIR)
-    if metered and baseline and baseline["mean_seconds"] > 0:
-        overhead = metered["mean_seconds"] / baseline["mean_seconds"] - 1.0
-        out["telemetry_overhead_pct"] = round(100.0 * overhead, 2)
-
     with open(dest_path, "w") as handle:
         json.dump(out, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -65,8 +53,6 @@ def main(argv) -> int:
         ips = entry.get("instructions_per_second")
         suffix = f"  {ips:,} insns/s" if ips else ""
         print(f"{name}: {entry['mean_seconds']*1e3:.2f} ms{suffix}")
-    if "telemetry_overhead_pct" in out:
-        print(f"telemetry_overhead_pct: {out['telemetry_overhead_pct']}")
     return 0
 
 

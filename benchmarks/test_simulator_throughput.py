@@ -35,23 +35,6 @@ def test_bare_simulator_throughput(benchmark):
     benchmark(simulate_with, lambda: [], "m88ksim", 25_000)
 
 
-def test_bare_simulator_throughput_metrics_enabled(benchmark):
-    """Same bare run with the metrics registry armed.
-
-    Keeps the hot-loop counting closures honest: CI derives
-    ``telemetry_overhead_pct`` from this pair and fails above 5%.
-    """
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.enable()
-    obs_metrics.REGISTRY.reset()
-    try:
-        benchmark(simulate_with, lambda: [], "m88ksim", 25_000)
-    finally:
-        obs_metrics.disable()
-        obs_metrics.REGISTRY.reset()
-
-
 def test_repetition_tracker_throughput(benchmark):
     benchmark(simulate_with, lambda: [RepetitionTracker()], "m88ksim", 25_000)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.obs import metrics as obs_metrics
 from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer
 
@@ -52,9 +51,9 @@ class ReuseBufferReport:
     dynamic_total: int
     reuse_hits: int
     invalidations: int
-    #: Entries displaced by capacity pressure (telemetry; not a paper number).
+    #: Entries displaced by capacity pressure (not a paper number).
     evictions: int = 0
-    #: Entries resident when the run finished (telemetry).
+    #: Entries resident when the run finished.
     occupancy: int = 0
 
     @property
@@ -75,6 +74,10 @@ class ReuseBuffer(Analyzer):
         entries: int = DEFAULT_ENTRIES,
         associativity: int = DEFAULT_ASSOCIATIVITY,
     ) -> None:
+        if entries < 1:
+            raise ValueError(f"entries must be positive, got {entries}")
+        if associativity < 1:
+            raise ValueError(f"associativity must be positive, got {associativity}")
         if entries % associativity:
             raise ValueError("entries must be a multiple of associativity")
         self.num_sets = entries // associativity
@@ -158,15 +161,6 @@ class ReuseBuffer(Analyzer):
     def occupancy(self) -> int:
         """Entries currently resident across all sets."""
         return sum(len(bucket) for bucket in self._sets)
-
-    def on_finish(self) -> None:
-        registry = obs_metrics.REGISTRY
-        if registry.enabled:
-            registry.counter("reuse.probes").inc(self.dynamic_total)
-            registry.counter("reuse.hits").inc(self.reuse_hits)
-            registry.counter("reuse.invalidations").inc(self.invalidations)
-            registry.counter("reuse.evictions").inc(self.evictions)
-            registry.gauge("reuse.occupancy").set(self.occupancy)
 
     def report(self) -> ReuseBufferReport:
         return ReuseBufferReport(

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Optional
 
 from repro.harness import faults as _faults
-from repro.obs import metrics as obs_metrics
 
 logger = logging.getLogger("repro.harness.cache")
 
@@ -90,22 +89,18 @@ class ResultCache:
 
     def load(self, workload_name: str, config: object) -> Optional[object]:
         """The cached result, or ``None`` on miss / unreadable entry."""
-        registry = obs_metrics.REGISTRY
         path = self.path_for(workload_name, config)
         try:
             with path.open("rb") as handle:
                 result = pickle.load(handle)
         except FileNotFoundError:
-            registry.inc("cache.disk.misses")
             return None
         except Exception as exc:
             # A torn, corrupt, or stale entry is a miss, never an error —
             # unpickling garbage can raise nearly anything (ValueError,
             # UnpicklingError, EOFError, AttributeError, ImportError, ...).
-            # It is counted and evicted, not silently swallowed: leaving
+            # It is logged and evicted, not silently swallowed: leaving
             # the bad file in place would re-pay the failed read forever.
-            registry.inc("cache.disk.misses")
-            registry.inc("cache.disk.corrupt")
             logger.warning(
                 "evicting corrupt result-cache entry %s (%s: %s)",
                 path.name,
@@ -117,12 +112,6 @@ class ResultCache:
             except OSError:
                 pass
             return None
-        registry.inc("cache.disk.hits")
-        if registry.enabled:
-            try:
-                registry.counter("cache.disk.bytes_read").inc(path.stat().st_size)
-            except OSError:
-                pass
         return result
 
     def store(self, workload_name: str, config: object, result: object) -> None:
@@ -138,15 +127,11 @@ class ResultCache:
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                written = handle.tell()
                 if _faults.armed():
                     _faults.check("cache.torn_write", workload_name)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
-            registry = obs_metrics.REGISTRY
-            registry.inc("cache.disk.stores")
-            registry.inc("cache.disk.bytes_written", written)
         except BaseException:
             try:
                 os.unlink(tmp_name)

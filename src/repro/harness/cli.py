@@ -5,38 +5,30 @@ Examples::
     repro-run --list
     repro-run table1 table4 --scale 1
     repro-run --all --scale 2 --input secondary
-    repro-run table1 --profile
-    repro-run --all --metrics-out metrics.json --trace-out trace.json
+    repro-run --all --markdown report.md
 
-Telemetry flags (all opt-in, see :mod:`repro.obs`):
-
-* ``--profile`` prints a per-phase / per-analyzer time table;
-* ``--metrics-out FILE`` writes the metrics snapshot plus the suite run
-  manifest as JSON;
-* ``--trace-out FILE`` writes Chrome trace-event JSON for
-  ``chrome://tracing`` / Perfetto.
-
-With any telemetry flag the experiment list may be empty — the suite
-still runs and the telemetry artifacts are written.
+``--markdown FILE`` also writes ``FILE.manifest.json``, the suite's
+run manifest (:mod:`repro.obs.manifest`): config, source digest, each
+workload's result digest, cache disposition and phase timing.  For
+per-layer time, run ``perfbench/run.py --trace 1``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import List, Optional
 
+from repro.core.repetition import RepetitionTracker
+from repro.core.reuse_buffer import ReuseBuffer
 from repro.harness.cache import source_digest
 from repro.harness.experiments import EXPERIMENT_ORDER, EXPERIMENTS
 from repro.harness.faults import FaultPlan
 from repro.harness.runner import SuiteConfig, run_suite, set_cache_dir
 from repro.obs import manifest as obs_manifest
-from repro.obs import metrics as obs_metrics
-from repro.obs import profiling as obs_profiling
-from repro.obs import tracing as obs_tracing
 from repro.tools import quiet_broken_pipe
+from repro.traces.table import TraceReuseTable
 from repro.workloads import WORKLOAD_ORDER, WORKLOADS
 
 
@@ -120,23 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(plus FILE.manifest.json with the run manifest)",
     )
     parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="print per-phase and per-analyzer timing after the run",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write the metrics registry snapshot + run manifest as JSON",
-    )
-    parser.add_argument(
-        "--trace-out",
-        metavar="FILE",
-        default=None,
-        help="write a Chrome trace-event JSON (chrome://tracing, Perfetto)",
-    )
-    parser.add_argument(
         "--strict",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -159,8 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Reject bad option values up front (exit 2, one error line)."""
+def _validate(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> SuiteConfig:
+    """Reject bad option values up front (exit 2, one error line).
+
+    Returns the run's config.  Sizes are checked by building the config
+    and the tables they size, so the rules live in one place each.
+    """
     if args.workloads:
         names = args.workloads.split(",")
         unknown = [name for name in names if name not in WORKLOADS]
@@ -180,22 +161,55 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
             FaultPlan.parse(args.faults)
         except ValueError as exc:
             parser.error(f"--faults: {exc}")
+    try:
+        config = SuiteConfig(
+            scale=args.scale,
+            buffer_capacity=args.buffer_capacity,
+            reuse_entries=args.reuse_entries,
+            reuse_associativity=args.reuse_assoc,
+            input_kind=args.input,
+            engine=args.engine,
+            trace_capacity=args.trace_capacity,
+            trace_ways=args.trace_ways,
+            trace_max_len=args.trace_max_len,
+            fault_plan=args.faults,
+        )
+    except ValueError as exc:
+        parser.error(f"--scale: {exc}")
+    sized = (
+        ("--buffer-capacity", RepetitionTracker, (config.buffer_capacity,)),
+        (
+            "--reuse-entries/--reuse-assoc",
+            ReuseBuffer,
+            (config.reuse_entries, config.reuse_associativity),
+        ),
+        (
+            "--trace-capacity/--trace-ways/--trace-max-len",
+            TraceReuseTable,
+            (config.trace_capacity, config.trace_ways, config.trace_max_len),
+        ),
+    )
+    for flags, build, sizes in sized:
+        try:
+            build(*sizes)
+        except ValueError as exc:
+            parser.error(f"{flags}: {exc}")
+    return config
 
 
 @quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _validate(parser, args)
+    config = _validate(parser, args)
     if args.list:
         for exp_id in EXPERIMENT_ORDER:
             exp = EXPERIMENTS[exp_id]
             print(f"{exp_id:8s} {exp.paper_ref:9s} {exp.title}")
         return 0
 
-    telemetry = bool(args.profile or args.metrics_out or args.trace_out)
     exp_ids = list(EXPERIMENT_ORDER) if args.all else args.experiments
-    if not exp_ids and not telemetry:
+    if not exp_ids:
         print("no experiments selected; try --list or --all", file=sys.stderr)
         return 2
     unknown = [e for e in exp_ids if e not in EXPERIMENTS]
@@ -208,108 +222,50 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.cache_dir:
         set_cache_dir(args.cache_dir)
 
-    config = SuiteConfig(
-        scale=args.scale,
-        buffer_capacity=args.buffer_capacity,
-        reuse_entries=args.reuse_entries,
-        reuse_associativity=args.reuse_assoc,
-        input_kind=args.input,
-        engine=args.engine,
-        trace_capacity=args.trace_capacity,
-        trace_ways=args.trace_ways,
-        trace_max_len=args.trace_max_len,
-        fault_plan=args.faults,
-    )
     names = args.workloads.split(",") if args.workloads else None
 
-    # Telemetry is process-global and opt-in; arm it for the run and
-    # restore the previous state afterwards so embedding callers (and
-    # tests) never observe leaked counters or a stale tracer.
-    registry = obs_metrics.REGISTRY
-    armed_metrics = (args.metrics_out or args.profile) and not registry.enabled
-    if armed_metrics:
-        obs_metrics.enable()
-        registry.reset()
-    prior_tracer = obs_tracing.current_tracer()
-    tracer = prior_tracer
-    if (args.trace_out or args.profile) and tracer is None:
-        tracer = obs_tracing.SpanTracer()
-        obs_tracing.install_tracer(tracer)
-    try:
-        started = time.time()
-        results = run_suite(
-            config,
-            names,
-            jobs=args.jobs,
-            profile=args.profile,
-            strict=args.strict,
-            timeout_s=args.timeout_s,
-        )
-        elapsed = time.time() - started
-        total = sum(r.run.analyzed_instructions for r in results.values())
-        print(
-            f"# suite: {len(results)} workloads, {total:,} instructions, {elapsed:.1f}s\n"
-        )
-        failures = getattr(results, "failures", {})
-        if failures:
-            print(f"== failures ({len(failures)}) ==")
-            for name, record in failures.items():
-                print(
-                    f"{name:10s} {record.kind:13s} attempts={record.attempts} "
-                    f"engine={record.engine}"
-                    + (" [injected]" if record.injected else "")
-                    + f" — {record.message}"
-                )
-            print()
-        for exp_id in exp_ids:
-            exp = EXPERIMENTS[exp_id]
-            print(f"== {exp.paper_ref}: {exp.title} [{exp_id}] ==")
-            print(exp.render(results))
-            print()
+    started = time.time()
+    results = run_suite(
+        config, names, jobs=args.jobs, strict=args.strict, timeout_s=args.timeout_s
+    )
+    elapsed = time.time() - started
+    total = sum(r.run.analyzed_instructions for r in results.values())
+    print(f"# suite: {len(results)} workloads, {total:,} instructions, {elapsed:.1f}s\n")
+    failures = results.failures
+    if failures:
+        print(f"== failures ({len(failures)}) ==")
+        for name, record in failures.items():
+            print(
+                f"{name:10s} {record.kind:13s} attempts={record.attempts} "
+                f"engine={record.engine}"
+                + (" [injected]" if record.injected else "")
+                + f" — {record.message}"
+            )
+        print()
+    for exp_id in exp_ids:
+        exp = EXPERIMENTS[exp_id]
+        print(f"== {exp.paper_ref}: {exp.title} [{exp_id}] ==")
+        print(exp.render(results))
+        print()
 
-        phase_timing = tracer.durations() if tracer is not None else {}
+    if args.markdown:
+        from repro.analysis.report import build_markdown_report
+
+        with open(args.markdown, "w") as handle:
+            handle.write(build_markdown_report(results, exp_ids, failures=failures))
         manifest = obs_manifest.build_suite_manifest(
             config,
             results,
             source_digest(),
-            timing=phase_timing,
             elapsed_seconds=elapsed,
             failures=failures,
         )
-        if args.metrics_out:
-            with open(args.metrics_out, "w") as handle:
-                json.dump(
-                    {"manifest": manifest, "metrics": registry.snapshot()},
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                )
-                handle.write("\n")
-            print(f"# metrics written to {args.metrics_out}")
-        if args.trace_out and tracer is not None:
-            tracer.write(args.trace_out)
-            print(f"# trace written to {args.trace_out}")
-        if args.profile:
-            profiles = obs_profiling.profiles_from_snapshot(registry.snapshot())
-            print("== profile ==")
-            print(obs_profiling.format_profile_table(profiles, phase_timing))
-            print()
-        if args.markdown:
-            from repro.analysis.report import build_markdown_report
-
-            with open(args.markdown, "w") as handle:
-                handle.write(build_markdown_report(results, exp_ids, failures=failures))
-            manifest_path = f"{args.markdown}.manifest.json"
-            obs_manifest.write_manifest(manifest, manifest_path)
-            print(
-                f"# markdown report written to {args.markdown} "
-                f"(manifest: {manifest_path})"
-            )
-    finally:
-        obs_tracing.install_tracer(prior_tracer)
-        if armed_metrics:
-            obs_metrics.disable()
-            registry.reset()
+        manifest_path = f"{args.markdown}.manifest.json"
+        obs_manifest.write_manifest(manifest, manifest_path)
+        print(
+            f"# markdown report written to {args.markdown} "
+            f"(manifest: {manifest_path})"
+        )
     # Partial (non-strict) completion: artifacts were written, but the
     # run must not look clean to scripts and CI.
     return 3 if failures else 0

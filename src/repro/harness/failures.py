@@ -35,7 +35,6 @@ from typing import Dict, List, Optional
 
 from repro.asm.errors import AsmError
 from repro.lang.errors import MiniCError
-from repro.obs import tracing as obs_tracing
 from repro.sim.errors import SimError
 
 # -- taxonomy ----------------------------------------------------------
@@ -129,21 +128,6 @@ def classify_failure(
         traceback_digest=hashlib.sha256(formatted.encode()).hexdigest()[:12],
         injected=bool(getattr(exc, "injected", False)),
     )
-
-
-def note_failure(record: FailureRecord) -> None:
-    """Emit a zero-length ``failure`` span so traces show what broke where."""
-    tracer = obs_tracing.current_tracer()
-    if tracer is not None:
-        tracer.begin(
-            "failure",
-            workload=record.workload,
-            kind=record.kind,
-            engine=record.engine,
-            attempt=record.attempt,
-            injected=record.injected,
-        )
-        tracer.end("failure")
 
 
 # -- partial results ---------------------------------------------------

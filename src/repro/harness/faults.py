@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.errors import AsmError
-from repro.obs import metrics as obs_metrics
 from repro.sim.errors import SimError
 
 #: How long an injected hang sleeps.  Bounded (not infinite) so a
@@ -137,7 +136,6 @@ class FaultPlan:
         for spec in self.specs:
             if spec.matches(site, workload, attempt):
                 spec.fired += 1
-                obs_metrics.REGISTRY.inc(f"fault.injected.{site}")
                 return spec
         return None
 

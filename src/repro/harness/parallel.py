@@ -12,15 +12,6 @@ anything, workers inherit the persistent-cache directory, and finished
 results are promoted into the parent's in-memory cache so follow-up
 ``run_suite`` calls in the same process are free.
 
-Telemetry crosses the process boundary the same way the results do:
-when the parent's metrics registry is enabled (or a tracer is
-installed), each worker collects into a fresh registry/tracer of its
-own and ships the snapshot / event list back with the result.  The
-parent merges them, adds per-worker task counts and durations
-(``parallel.worker.<pid>.*``), and splices worker trace events into its
-own tracer — so ``run_suite(jobs=N)`` reports the same aggregate
-numbers a serial run would, plus the fan-out shape.
-
 Fault tolerance (see :mod:`repro.harness.failures`) is round-based,
 with one rule: a workload's own failure is terminal, and a task the
 pool *lost* is retried.  Each round submits the still-pending workloads
@@ -43,8 +34,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
@@ -56,11 +45,8 @@ from repro.harness.failures import (
     SuiteReport,
     WorkloadTimeout,
     classify_failure,
-    note_failure,
 )
 from repro.harness.runner import SuiteConfig, WorkloadResult
-from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
 from repro.workloads import get_workload
 
 #: Parent-side slack on top of the per-workload budget: covers pool
@@ -75,52 +61,27 @@ def _run_one(
     name: str,
     config: SuiteConfig,
     cache_dir: Optional[str],
-    telemetry: bool,
-    trace: bool,
-    profile: bool,
     attempt: int,
     timeout_s: Optional[float],
-) -> Tuple[WorkloadResult, dict]:
+) -> WorkloadResult:
     """Worker entry point: simulate one workload in a fresh process.
 
     Worker processes are reused by the pool (and inherit parent state
-    under fork), so telemetry state is re-initialized per task: the
-    registry is reset before the run and snapshotted after, making each
-    shipped snapshot exactly one task's worth of metrics.  The fault
-    plan is likewise re-installed per task, so worker-site specs fire
-    per attempt — a ``worker.crash:<name>`` keeps crashing on retry,
-    while ``worker.crash:<name>@1`` recovers on the second round.
+    under fork), so the fault plan is re-installed per task: worker-site
+    specs fire per attempt — a ``worker.crash:<name>`` keeps crashing on
+    retry, while ``worker.crash:<name>@1`` recovers on the second round.
     """
     if cache_dir is not None:
         runner.set_cache_dir(cache_dir)
-    if telemetry:
-        obs_metrics.enable()
-        obs_metrics.REGISTRY.reset()
-    else:
-        obs_metrics.disable()
-    tracer = obs_tracing.SpanTracer() if trace else None
-    obs_tracing.install_tracer(tracer)
     faults.install_plan(faults.resolve_plan(config.fault_plan))
     try:
-        started = time.perf_counter()
         with faults.scope(workload=name, attempt=attempt):
             if faults.armed():
                 faults.check("worker.crash", name)
                 faults.check("worker.hang", name)
-            result = runner.run_workload(
-                get_workload(name), config, profile=profile, deadline_s=timeout_s
-            )
-        elapsed = time.perf_counter() - started
-        meta = {
-            "pid": os.getpid(),
-            "seconds": elapsed,
-            "metrics": obs_metrics.REGISTRY.snapshot() if telemetry else None,
-            "trace_events": list(tracer.events) if tracer is not None else None,
-        }
-        return result, meta
+            return runner.run_workload(get_workload(name), config, deadline_s=timeout_s)
     finally:
         faults.install_plan(None)
-        obs_tracing.install_tracer(None)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -195,19 +156,20 @@ def _run_round(
     names: List[str],
     attempt: int,
     workers: int,
-    run_args: tuple,
+    config: SuiteConfig,
+    cache_dir: Optional[str],
     timeout_s: Optional[float],
 ) -> Dict[str, Tuple[str, object]]:
     """Run one round of ``names``; ``{name: (status, payload)}``.
 
-    ``status`` is ``"ok"`` (payload ``(result, meta)``), ``"err"`` or
+    ``status`` is ``"ok"`` (payload the result), ``"err"`` or
     ``"lost"`` (payload the exception).  The first round shares one
     pool; retry rounds give every task its own single-worker pool, in
     waves of at most ``workers``.
     """
 
     def submit(pool: ProcessPoolExecutor, name: str):
-        return pool.submit(_run_one, name, *run_args, attempt, timeout_s)
+        return pool.submit(_run_one, name, config, cache_dir, attempt, timeout_s)
 
     outcomes: Dict[str, Tuple[str, object]] = {}
     if attempt == 1:
@@ -251,7 +213,6 @@ def run_suite_parallel(
     config: SuiteConfig = SuiteConfig(),
     names: Optional[Iterable[str]] = None,
     jobs: int = 2,
-    profile: bool = False,
     strict: bool = True,
     timeout_s: Optional[float] = None,
 ) -> SuiteReport:
@@ -265,7 +226,6 @@ def run_suite_parallel(
     selected = runner.select_workloads(names)
 
     report = SuiteReport(config=config)
-    registry = obs_metrics.REGISTRY
     results: Dict[str, WorkloadResult] = {}
     histories: Dict[str, List[FailureRecord]] = {}
     pending: List[str] = []
@@ -276,50 +236,32 @@ def run_suite_parallel(
         else:
             pending.append(name)
 
-    telemetry = registry.enabled
-    parent_tracer = obs_tracing.current_tracer()
     cache_dir = runner.cache_directory()
-    run_args = (config, cache_dir, telemetry, parent_tracer is not None, profile)
     for attempt in range(1, MAX_ATTEMPTS + 1):
         if not pending:
             break
         workers = min(jobs, len(pending))
-        outcomes = _run_round(pending, attempt, workers, run_args, timeout_s)
+        outcomes = _run_round(pending, attempt, workers, config, cache_dir, timeout_s)
         lost: List[str] = []
         for name in pending:
             status, payload = outcomes[name]
             if status == "ok":
-                result, meta = payload
                 # The worker already wrote the disk entry when enabled.
-                runner.install_result(result, config, to_disk=cache_dir is None)
+                runner.install_result(payload, config, to_disk=cache_dir is None)
                 if name in histories:
-                    result = _annotate(result, histories[name], attempt)
-                results[name] = result
-                if meta["metrics"] is not None:
-                    registry.merge(meta["metrics"])
-                if telemetry:
-                    pid = meta["pid"]
-                    registry.counter("parallel.tasks").inc()
-                    registry.counter(f"parallel.worker.{pid}.tasks").inc()
-                    registry.timer(f"parallel.worker.{pid}.seconds").observe(
-                        meta["seconds"]
-                    )
-                if parent_tracer is not None and meta["trace_events"]:
-                    parent_tracer.extend(meta["trace_events"])
+                    payload = _annotate(payload, histories[name], attempt)
+                results[name] = payload
                 continue
             record = classify_failure(
                 payload, workload=name, engine=config.engine, attempt=attempt
             )
             histories.setdefault(name, []).append(record)
-            note_failure(record)
             if strict:
                 raise payload
             if status == "lost" and attempt < MAX_ATTEMPTS:
-                registry.inc("retry.attempts")
                 lost.append(name)
             else:
                 report.failures[name] = record
-                registry.inc("suite.partial_failures")
         pending = lost
 
     for history in histories.values():

@@ -36,11 +36,7 @@ from repro.harness.failures import (
     Watchdog,
     WorkloadTimeout,
     classify_failure,
-    note_failure,
 )
-from repro.obs import metrics as obs_metrics
-from repro.obs import profiling as obs_profiling
-from repro.obs import tracing as obs_tracing
 from repro.obs.manifest import RunManifest, build_workload_manifest
 from repro.sim.simulator import DEFAULT_ENGINE, RunResult, Simulator
 from repro.traces.analyzer import TraceReuseAnalyzer, TraceReuseReport
@@ -75,6 +71,10 @@ class SuiteConfig:
     #: Part of the config — and therefore the cache key — on purpose:
     #: faulted runs can never serve or poison clean cache entries.
     fault_plan: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.scale < 1:
+            raise ValueError(f"scale must be positive, got {self.scale}")
 
     def input_for(self, workload: Workload) -> bytes:
         if self.input_kind == "primary":
@@ -137,11 +137,8 @@ def cached_result(
 ) -> Optional[WorkloadResult]:
     """Check both cache layers without simulating (disk hits are promoted)."""
     key = (workload.name, config)
-    registry = obs_metrics.REGISTRY
     cached = _CACHE.get(key)
     if cached is not None:
-        registry.inc("cache.hits")
-        registry.inc("cache.memory_hits")
         if cached.manifest is not None:
             cached.manifest.cache = "memory-hit"
         return cached
@@ -149,7 +146,6 @@ def cached_result(
     if disk is not None:
         loaded = disk.load(workload.name, config)
         if isinstance(loaded, WorkloadResult):
-            registry.inc("cache.hits")
             if loaded.manifest is not None:
                 loaded.manifest.cache = "disk-hit"
             _CACHE[key] = loaded
@@ -164,7 +160,7 @@ def install_result(
 
     A failed disk store (full disk, permissions, an injected torn
     write) never loses the computed result: the in-memory layer already
-    holds it, so the error is logged and counted, not raised.
+    holds it, so the error is logged, not raised.
     """
     _CACHE[(result.workload.name, config)] = result
     if to_disk:
@@ -173,7 +169,6 @@ def install_result(
             try:
                 disk.store(result.workload.name, config, result)
             except Exception as exc:
-                obs_metrics.REGISTRY.inc("cache.disk.store_errors")
                 logger.warning(
                     "persistent-cache store failed for %s (%s: %s)",
                     result.workload.name,
@@ -185,14 +180,9 @@ def install_result(
 def run_workload(
     workload: Workload,
     config: SuiteConfig = SuiteConfig(),
-    profile: bool = False,
     deadline_s: Optional[float] = None,
 ) -> WorkloadResult:
     """Run one workload under the full analyzer stack (cached).
-
-    ``profile=True`` wraps every analyzer in a per-hook timing proxy
-    (:mod:`repro.obs.profiling`); the measured attribution lands in the
-    metrics registry under ``profile.<Analyzer>.<hook>``.
 
     ``deadline_s`` arms a wall-clock watchdog that pauses the simulator
     at an instruction boundary and raises :class:`WorkloadTimeout`.
@@ -201,24 +191,18 @@ def run_workload(
     if cached is not None:
         return cached
     with faults.armed_plan(config.fault_plan), faults.scope(workload=workload.name):
-        return _compute_workload(workload, config, profile, deadline_s)
+        return _compute_workload(workload, config, deadline_s)
 
 
 def _compute_workload(
-    workload: Workload,
-    config: SuiteConfig,
-    profile: bool,
-    deadline_s: Optional[float],
+    workload: Workload, config: SuiteConfig, deadline_s: Optional[float]
 ) -> WorkloadResult:
-    registry = obs_metrics.REGISTRY
-    registry.inc("cache.misses")
     started = time.perf_counter()
     timing: Dict[str, float] = {}
 
-    with obs_tracing.span("assemble", workload=workload.name):
-        if faults.armed():
-            faults.check("asm.error", workload.name)
-        program = workload.program()
+    if faults.armed():
+        faults.check("asm.error", workload.name)
+    program = workload.program()
     timing["assemble"] = time.perf_counter() - started
 
     tracker = RepetitionTracker(config.buffer_capacity)
@@ -240,9 +224,6 @@ def _compute_workload(
         value_profiler,
         trace_analyzer,
     ]
-    profiles = None
-    if profile:
-        analyzers, profiles = obs_profiling.wrap_all(analyzers)
     simulator = Simulator(
         program,
         input_data=config.input_for(workload),
@@ -263,36 +244,25 @@ def _compute_workload(
         )
     timing["simulate"] = time.perf_counter() - phase_start
 
-    def _report(analyzer):
-        with obs_tracing.span(
-            "analyzer", analyzer=type(analyzer).__name__, workload=workload.name
-        ):
-            return analyzer.report()
-
     phase_start = time.perf_counter()
-    with obs_tracing.span("report", workload=workload.name):
-        result = WorkloadResult(
-            workload=workload,
-            run=run,
-            repetition=_report(tracker),
-            global_analysis=_report(global_analyzer),
-            function_analysis=_report(function_analyzer),
-            local_analysis=_report(local_analyzer),
-            reuse=_report(reuse),
-            value_profile=_report(value_profiler),
-            trace_reuse=_report(trace_analyzer),
-            static_program_instructions=program.static_instruction_count,
-        )
+    result = WorkloadResult(
+        workload=workload,
+        run=run,
+        repetition=tracker.report(),
+        global_analysis=global_analyzer.report(),
+        function_analysis=function_analyzer.report(),
+        local_analysis=local_analyzer.report(),
+        reuse=reuse.report(),
+        value_profile=value_profiler.report(),
+        trace_reuse=trace_analyzer.report(),
+        static_program_instructions=program.static_instruction_count,
+    )
     timing["report"] = time.perf_counter() - phase_start
     timing["total"] = time.perf_counter() - started
 
     result.manifest = build_workload_manifest(
         workload.name, config, source_digest(), timing
     )
-    if profiles is not None:
-        for analyzer_profile in profiles:
-            analyzer_profile.publish(registry)
-    registry.observe("suite.workload_seconds", timing["total"])
     install_result(result, config)
     return result
 
@@ -311,15 +281,13 @@ def run_suite(
     config: SuiteConfig = SuiteConfig(),
     names: Optional[Iterable[str]] = None,
     jobs: int = 1,
-    profile: bool = False,
     strict: bool = True,
     timeout_s: Optional[float] = None,
 ) -> SuiteReport:
     """Run the whole suite (or ``names``) and return results in order.
 
-    ``jobs > 1`` fans uncached workloads out over a process pool; worker
-    metrics snapshots are merged into this process's registry, so the
-    aggregate telemetry is the same as a serial run's.
+    ``jobs > 1`` fans uncached workloads out over a process pool
+    (:func:`~repro.harness.parallel.run_suite_parallel`).
 
     The return value is a :class:`SuiteReport` — a dict of surviving
     ``WorkloadResult`` in suite order, plus ``failures``/``history``.
@@ -335,7 +303,7 @@ def run_suite(
         from repro.harness.parallel import run_suite_parallel
 
         return run_suite_parallel(
-            config, selected, jobs, profile, strict=strict, timeout_s=timeout_s
+            config, selected, jobs, strict=strict, timeout_s=timeout_s
         )
     report = SuiteReport(config=config)
     with faults.armed_plan(config.fault_plan):
@@ -343,17 +311,13 @@ def run_suite(
             workload = get_workload(name)
             try:
                 with faults.scope(workload=name, attempt=1):
-                    report[name] = run_workload(
-                        workload, config, profile=profile, deadline_s=timeout_s
-                    )
+                    report[name] = run_workload(workload, config, deadline_s=timeout_s)
             except Exception as exc:
-                record = classify_failure(exc, workload=name, engine=config.engine)
-                note_failure(record)
                 if strict:
                     raise
+                record = classify_failure(exc, workload=name, engine=config.engine)
                 report.history.append(record)
                 report.failures[name] = record
-                obs_metrics.REGISTRY.inc("suite.partial_failures")
     return report
 
 

@@ -6,8 +6,8 @@ it, under which :class:`~repro.harness.runner.SuiteConfig`, over which
 source tree (digest), whether it was simulated or served from a cache
 layer, by which package version, and how long each phase took.  The
 suite-level manifest (:func:`build_suite_manifest`) aggregates the
-per-workload records and is serialized as JSON next to any ``--out``
-artifact the CLI writes (and embedded in ``--metrics-out``).
+per-workload records plus each result's digest and is written as
+``FILE.manifest.json`` next to the CLI's ``--markdown FILE`` report.
 
 Manifests are plain dataclasses of primitives so they pickle with the
 result into the persistent cache; a cache hit updates only the
@@ -31,7 +31,9 @@ from typing import Dict, List, Optional
 #: failures) for fault-tolerant suite runs.
 #: v3: engine-fallback flags removed — the runner never substitutes an
 #: engine, so a result always comes from the configured one.
-MANIFEST_SCHEMA = 3
+#: v4: suite manifests record each workload's ``result_digest`` and no
+#: longer carry suite-level phase ``timing``.
+MANIFEST_SCHEMA = 4
 
 #: Cache dispositions a result can carry.
 DISPOSITIONS = ("computed", "memory-hit", "disk-hit")
@@ -92,25 +94,25 @@ def build_suite_manifest(
     config,
     results,
     source_digest: str,
-    timing: Optional[Dict[str, float]] = None,
     elapsed_seconds: Optional[float] = None,
     failures: Optional[Dict[str, object]] = None,
 ) -> dict:
     """Aggregate manifest for a whole suite run (JSON-ready dict).
 
-    ``failures`` maps workload name -> terminal FailureRecord (or its
-    dict form) for non-strict runs that completed partially.
+    Each workload entry is its result's :class:`RunManifest` plus the
+    ``result_digest`` of the numbers it carries.  ``failures`` maps
+    workload name -> terminal FailureRecord (or its dict form) for
+    non-strict runs that completed partially.
     """
+    # Lazy import: repro.harness imports this module at load time.
+    from repro.harness.failures import result_digest
+
     workloads: Dict[str, dict] = {}
     dispositions: Dict[str, int] = {}
     for name, result in results.items():
-        manifest = getattr(result, "manifest", None)
-        if manifest is not None:
-            workloads[name] = manifest.to_dict()
-            dispositions[manifest.cache] = dispositions.get(manifest.cache, 0) + 1
-        else:  # pre-telemetry cache entries carry no manifest
-            workloads[name] = {"workload": name, "cache": "unknown"}
-            dispositions["unknown"] = dispositions.get("unknown", 0) + 1
+        manifest = result.manifest
+        workloads[name] = dict(manifest.to_dict(), result_digest=result_digest(result))
+        dispositions[manifest.cache] = dispositions.get(manifest.cache, 0) + 1
     failure_dicts: Dict[str, dict] = {}
     for name, record in (failures or {}).items():
         failure_dicts[name] = (
@@ -127,7 +129,6 @@ def build_suite_manifest(
         "config": config_dict(config),
         "source_digest": source_digest,
         "cache_dispositions": dispositions,
-        "timing": dict(timing or {}),
         "elapsed_seconds": elapsed_seconds,
         "workloads": workloads,
         "failures": failure_dicts,

@@ -8,7 +8,7 @@ class SimError(Exception):
 
     The simulator annotates escaping traps with ``engine`` and the
     retirement counters; the fault harness marks injected ones with
-    ``injected=True`` so recovery telemetry can tell them apart.
+    ``injected=True`` so failure records can tell them apart.
     """
 
     injected = False

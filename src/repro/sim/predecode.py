@@ -900,64 +900,3 @@ def _compile_unimplemented(instr: Instruction) -> _Spec:  # pragma: no cover
         return step
 
     return make_fast, make_full
-
-
-# ----------------------------------------------------------------------
-# Telemetry: counted bindings
-# ----------------------------------------------------------------------
-
-#: Index into the kind-count cell list used by counted bindings.
-COUNT_BRANCHES = 0
-COUNT_MEMOPS = 1
-COUNT_KINDS = 2
-
-
-def _count_class(instr: Instruction):
-    """Which telemetry cell (if any) a dynamic instance increments."""
-    kind = instr.op.kind
-    if kind is Kind.BRANCH:
-        return COUNT_BRANCHES
-    if kind is Kind.LOAD or kind is Kind.STORE:
-        return COUNT_MEMOPS
-    return None
-
-
-def _wrap_counted(code: list, program: Program, counts, full: bool) -> list:
-    """Wrap only the closures whose kind is counted (branches, memops).
-
-    ALU/jump/syscall closures are untouched, so the metrics-enabled hot
-    loop pays one extra call frame on ~a quarter of retired instructions
-    and nothing on the rest — measured well inside the 5% overhead
-    budget on the bare-throughput benchmark.
-    """
-    wrapped = list(code)
-    for index, instr in enumerate(program.text):
-        cell = _count_class(instr)
-        if cell is None:
-            continue
-        inner = code[index]
-        if full:
-
-            def step_full(n, _inner=inner, _counts=counts, _cell=cell):
-                _counts[_cell] += 1
-                return _inner(n)
-
-            wrapped[index] = step_full
-        else:
-
-            def step_fast(_inner=inner, _counts=counts, _cell=cell):
-                _counts[_cell] += 1
-                return _inner()
-
-            wrapped[index] = step_fast
-    return wrapped
-
-
-def bind_fast_counted(sim, counts) -> List[Callable[[], object]]:
-    """:func:`bind_fast` plus per-kind dynamic counting into ``counts``."""
-    return _wrap_counted(bind_fast(sim), sim.program, counts, full=False)
-
-
-def bind_full_counted(sim, counts) -> List[Callable[[int], tuple]]:
-    """:func:`bind_full` plus per-kind dynamic counting into ``counts``."""
-    return _wrap_counted(bind_full(sim), sim.program, counts, full=True)

@@ -29,8 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.asm.program import FunctionInfo, Program
 from repro.isa import bits
-from repro.obs import metrics as obs_metrics
-from repro.obs import tracing as obs_tracing
 from repro.isa.convention import GP_VALUE, STACK_TOP
 from repro.isa.instructions import Format, Kind
 from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0
@@ -123,13 +121,6 @@ class Simulator:
         self._analyzed = 0
         self._limit: Optional[int] = None
         self._skip = 0
-        # Telemetry: call/return edges are rare enough to count always;
-        # branch/memop counts live in a cell list only when the metrics
-        # registry is enabled at run() time (see _run_fast/_run_full).
-        self.call_count = 0
-        self.return_count = 0
-        self._kind_counts: Optional[List[int]] = None
-        self._published: Optional[List[int]] = None
         # Predecoded engine state, bound lazily on first use.
         self._fast_code: Optional[list] = None
         self._full_code: Optional[list] = None
@@ -169,7 +160,6 @@ class Simulator:
     def _emit_call(
         self, pc: int, target: int, return_addr: int, warmup: bool
     ) -> None:
-        self.call_count += 1
         function = self.program.function_by_entry(target)
         argc = function.num_args if function is not None else 0
         args = tuple(self.regs[A0 : A0 + argc])
@@ -181,7 +171,6 @@ class Simulator:
             hook(event)
 
     def _emit_return(self, pc: int, target: int, warmup: bool) -> None:
-        self.return_count += 1
         function = None
         # Pop frames down to (and including) the one matching this return
         # target; tolerates non-matching frames from tail-call-like code.
@@ -227,8 +216,6 @@ class Simulator:
         self._call_hooks = _hooks_for(self._analyzers, "on_call")
         self._return_hooks = _hooks_for(self._analyzers, "on_return")
         self._syscall_hooks = _hooks_for(self._analyzers, "on_syscall")
-        if obs_metrics.REGISTRY.enabled:
-            self._kind_counts = [0, 0]
         for analyzer in self._analyzers:
             analyzer.on_start(program)
         # Program entry is modelled as a call so the call stack is rooted.
@@ -273,24 +260,11 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _execute_predecoded(self) -> RunResult:
-        tracer = obs_tracing.current_tracer()
         stop = None
         if self._total < self._skip:
-            if tracer is None:
-                stop = self._run_fast(warmup=True)
-            else:
-                with tracer.span("warmup", engine=self._engine):
-                    stop = self._run_fast(warmup=True)
+            stop = self._run_fast(warmup=True)
         if stop is None:
-            if tracer is None:
-                stop = self._run_full() if self._step_hooks else self._run_fast(warmup=False)
-            else:
-                with tracer.span("simulate", engine=self._engine):
-                    stop = (
-                        self._run_full()
-                        if self._step_hooks
-                        else self._run_fast(warmup=False)
-                    )
+            stop = self._run_full() if self._step_hooks else self._run_fast(warmup=False)
         return self._finish_run(stop)
 
     def _finish_run(self, stop_reason: str) -> RunResult:
@@ -299,9 +273,6 @@ class Simulator:
         else:
             for analyzer in self._analyzers:
                 analyzer.on_finish()
-        registry = obs_metrics.REGISTRY
-        if registry.enabled:
-            self._publish_metrics(registry)
         syscalls = self.syscalls
         return RunResult(
             analyzed_instructions=self._analyzed,
@@ -311,39 +282,6 @@ class Simulator:
             output=syscalls.output_text(),
         )
 
-    #: Registry counter names, index-matched with _publish_metrics values.
-    _METRIC_NAMES = (
-        "sim.instructions.total",
-        "sim.instructions.analyzed",
-        "sim.branches",
-        "sim.memory_ops",
-        "sim.calls",
-        "sim.returns",
-        "sim.syscalls",
-    )
-
-    def _publish_metrics(self, registry) -> None:
-        """End-of-run snapshot into the registry (resume-safe deltas)."""
-        published = self._published
-        if published is None:
-            published = self._published = [0] * len(self._METRIC_NAMES)
-            registry.counter("sim.runs").inc()
-        counts = self._kind_counts
-        values = (
-            self._total,
-            self._analyzed,
-            counts[0] if counts is not None else 0,
-            counts[1] if counts is not None else 0,
-            self.call_count,
-            self.return_count,
-            self.syscalls.invocations,
-        )
-        for index, name in enumerate(self._METRIC_NAMES):
-            delta = values[index] - published[index]
-            if delta:
-                registry.counter(name).inc(delta)
-                published[index] = values[index]
-
     def _run_fast(self, warmup: bool) -> Optional[str]:
         """Record-free execution (warm-up, or no step observers).
 
@@ -352,12 +290,7 @@ class Simulator:
         """
         code = self._fast_code
         if code is None:
-            if self._kind_counts is not None:
-                code = self._fast_code = predecode.bind_fast_counted(
-                    self, self._kind_counts
-                )
-            else:
-                code = self._fast_code = predecode.bind_fast(self)
+            code = self._fast_code = predecode.bind_fast(self)
         program = self.program
         text_base = program.text_base
         text_len = len(program.text)
@@ -439,12 +372,7 @@ class Simulator:
         """Analysis-mode execution: step records delivered per retire."""
         code = self._full_code
         if code is None:
-            if self._kind_counts is not None:
-                code = self._full_code = predecode.bind_full_counted(
-                    self, self._kind_counts
-                )
-            else:
-                code = self._full_code = predecode.bind_full(self)
+            code = self._full_code = predecode.bind_full(self)
         program = self.program
         text_base = program.text_base
         text_len = len(program.text)
@@ -515,18 +443,12 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _execute_interpreter(self) -> RunResult:
-        tracer = obs_tracing.current_tracer()
-        if tracer is None:
-            return self._finish_run(self._interpret_loop())
-        with tracer.span("simulate", engine="interpreter"):
-            stop_reason = self._interpret_loop()
-        return self._finish_run(stop_reason)
+        return self._finish_run(self._interpret_loop())
 
     def _interpret_loop(self) -> str:
         program = self.program
         limit = self._limit
         skip = self._skip
-        kind_counts = self._kind_counts
         regs = self.regs
         memory = self.memory
         text = program.text
@@ -595,8 +517,6 @@ class Simulator:
                 if dest_reg:
                     regs[dest_reg] = result
             elif kind == Kind.LOAD:
-                if kind_counts is not None:
-                    kind_counts[1] += 1
                 base = regs[instr.rs]
                 address = (base + instr.imm) & 0xFFFFFFFF
                 inputs = (base,)
@@ -617,8 +537,6 @@ class Simulator:
                 if dest_reg:
                     regs[dest_reg] = value
             elif kind == Kind.STORE:
-                if kind_counts is not None:
-                    kind_counts[1] += 1
                 data = regs[instr.rt]
                 base = regs[instr.rs]
                 address = (base + instr.imm) & 0xFFFFFFFF
@@ -684,8 +602,6 @@ class Simulator:
                 if dest_reg:
                     regs[dest_reg] = result
             elif kind == Kind.BRANCH:
-                if kind_counts is not None:
-                    kind_counts[0] += 1
                 a = regs[instr.rs]
                 if fmt == Format.BR2:
                     b = regs[instr.rt]

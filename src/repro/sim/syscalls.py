@@ -72,8 +72,6 @@ class SyscallHandler:
         self.brk = HEAP_BASE
         self.exited = False
         self.exit_code = 0
-        #: Total services handled (telemetry reads this at end of run).
-        self.invocations = 0
 
     def output_text(self) -> str:
         """Everything the program printed, concatenated."""
@@ -85,7 +83,6 @@ class SyscallHandler:
         Returns ``(result, halt)`` where ``result`` goes to ``$v0`` (or is
         ``None`` for services with no result).
         """
-        self.invocations += 1
         if service == Syscall.PRINT_INT:
             self.output.append(str(to_s32(arg)))
             return None, False

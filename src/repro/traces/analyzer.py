@@ -26,7 +26,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.isa.instructions import Kind
 from repro.isa.registers import A0, NUM_REGISTERS, V0
-from repro.obs import metrics as obs_metrics
 from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer
 from repro.traces.builder import TraceBuilder, step_next_pc
@@ -241,20 +240,6 @@ class TraceReuseAnalyzer(Analyzer):
         dest = record.dest_reg
         if dest:
             shadow[dest] = record.dest_value
-
-    def on_finish(self) -> None:
-        registry = obs_metrics.REGISTRY
-        if registry.enabled:
-            registry.counter("trace.probes").inc(self.probes)
-            registry.counter("trace.hits").inc(self.hits)
-            registry.counter("trace.covered_instructions").inc(
-                self.covered_instructions
-            )
-            registry.counter("trace.recorded").inc(self.traces_recorded)
-            registry.counter("trace.rejected").inc(sum(self.rejections.values()))
-            registry.counter("trace.invalidations").inc(self.table.invalidations)
-            registry.counter("trace.evictions").inc(self.table.evictions)
-            registry.gauge("trace.occupancy").set(self.table.occupancy)
 
     def report(self) -> TraceReuseReport:
         hist: Dict[str, int] = {label: 0 for label in LENGTH_BUCKET_LABELS}

@@ -36,6 +36,10 @@ class TraceReuseTable:
         ways: int = DEFAULT_TRACE_WAYS,
         max_trace_len: int = DEFAULT_MAX_TRACE_LEN,
     ) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be positive, got {capacity}")
+        if ways < 1:
+            raise ValueError(f"ways must be positive, got {ways}")
         if capacity % ways:
             raise ValueError("capacity must be a multiple of ways")
         if max_trace_len < 1:

@@ -57,6 +57,13 @@ class TestBasicReuse:
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
             ReuseBuffer(entries=10, associativity=4)
+        for entries, associativity, name in (
+            (0, 4, "entries"),
+            (-4, 4, "entries"),
+            (16, 0, "associativity"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                ReuseBuffer(entries=entries, associativity=associativity)
 
 
 class TestEvictions:
@@ -126,35 +133,3 @@ class TestReport:
         assert report.hit_pct == 50.0
         assert report.repeated_share_pct(1) == 100.0
         assert report.repeated_share_pct(0) == 0.0
-
-
-class TestMetrics:
-    def test_on_finish_publishes_counters(self, metrics_enabled):
-        buffer = ReuseBuffer(entries=4, associativity=2)
-        buffer.on_step(alu(PC, 5))
-        buffer.on_step(alu(PC, 5))
-        buffer.on_step(load(PC + 4, 0x1000_0000, 7))
-        buffer.on_step(store(PC + 8, 0x1000_0000, 9))
-        # Overflow one set to force an eviction.
-        for value in (1, 2, 3):
-            buffer.on_step(alu(PC + 32, value))
-        buffer.on_finish()
-        assert metrics_enabled.value("reuse.probes") == buffer.dynamic_total
-        assert metrics_enabled.value("reuse.hits") == buffer.reuse_hits == 1
-        assert metrics_enabled.value("reuse.invalidations") == buffer.invalidations == 1
-        assert metrics_enabled.value("reuse.evictions") == buffer.evictions
-        assert buffer.evictions > 0
-        assert metrics_enabled.snapshot()["gauges"]["reuse.occupancy"] == buffer.occupancy
-
-    def test_disabled_registry_publishes_nothing(self, metrics_enabled):
-        from repro.obs import metrics as obs_metrics
-
-        buffer = ReuseBuffer(entries=16, associativity=4)
-        buffer.on_step(alu(PC, 5))
-        obs_metrics.disable()
-        try:
-            buffer.on_finish()
-        finally:
-            obs_metrics.enable()
-        assert metrics_enabled.value("reuse.probes") == 0
-        assert "reuse.occupancy" not in metrics_enabled.snapshot()["gauges"]

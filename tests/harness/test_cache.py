@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import pickle
 
 import pytest
@@ -125,7 +126,26 @@ class TestDiskLayer:
         warm = run_workload(get_workload("compress"), config)
         assert warm is not first  # came from disk, not memory
         assert warm.run == first.run
+        assert warm.manifest.cache == "disk-hit"
         assert run_workload(get_workload("compress"), config) is warm  # promoted
+        assert warm.manifest.cache == "memory-hit"
+
+    def test_corrupt_entry_is_warned_and_evicted(self, isolated_cache, caplog):
+        config = SuiteConfig(**_SMALL)
+        clear_cache()
+        run_workload(get_workload("compress"), config)
+        disk = ResultCache(isolated_cache)
+        path = disk.path_for("compress", config)
+        path.write_bytes(b"not a pickle")
+        with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
+            assert disk.load("compress", config) is None
+        warnings = [r for r in caplog.records if "corrupt result-cache entry" in r.message]
+        assert len(warnings) == 1
+        assert not path.exists()  # evicted, not left to fail forever
+        runner._CACHE.clear()
+        recomputed = run_workload(get_workload("compress"), config)
+        assert recomputed.manifest.cache == "computed"
+        assert path.exists()
 
     def test_clear_cache_invalidates_disk_layer(self, isolated_cache):
         config = SuiteConfig(**_SMALL)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,9 @@ import pytest
 import repro
 
 from repro.harness.cli import build_parser, main
+from repro.obs.manifest import MANIFEST_SCHEMA
+
+GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "golden" / "result_digests.json"
 
 
 class TestParser:
@@ -116,8 +120,6 @@ class TestRobustnessFlags:
         text = markdown.read_text()
         assert "## Failures" in text
         assert "compile-error" in text and "go" in text
-        import json
-
         manifest = json.loads((tmp_path / "report.md.manifest.json").read_text())
         assert manifest["partial"] is True
         assert manifest["failures"]["go"]["kind"] == "compile-error"
@@ -154,13 +156,69 @@ class TestMain:
             (["--jobs", "0"], "--jobs must be a positive integer"),
             (["--faults", "nonsense"], "--faults: unknown fault site 'nonsense'"),
             (["--timeout-s", "-1", "--no-strict"], "--timeout-s must be positive"),
+            (["--scale", "0"], "--scale: scale must be positive, got 0"),
+            (["--scale", "-1"], "--scale: scale must be positive, got -1"),
+            (
+                ["--reuse-assoc", "0"],
+                "--reuse-entries/--reuse-assoc: associativity must be positive, got 0",
+            ),
+            (
+                ["--reuse-entries", "0"],
+                "--reuse-entries/--reuse-assoc: entries must be positive, got 0",
+            ),
+            (
+                ["--trace-capacity", "0"],
+                "--trace-capacity/--trace-ways/--trace-max-len: "
+                "capacity must be positive, got 0",
+            ),
+            (
+                ["--trace-ways", "0"],
+                "--trace-capacity/--trace-ways/--trace-max-len: "
+                "ways must be positive, got 0",
+            ),
+            (
+                ["--reuse-entries", "10", "--reuse-assoc", "4"],
+                "--reuse-entries/--reuse-assoc: "
+                "entries must be a multiple of associativity",
+            ),
+            (
+                ["--buffer-capacity", "0"],
+                "--buffer-capacity: buffer_capacity must be positive",
+            ),
+            (
+                ["--trace-max-len", "0"],
+                "--trace-capacity/--trace-ways/--trace-max-len: "
+                "max_trace_len must be at least 1",
+            ),
+            (
+                ["--trace-capacity", "10", "--trace-ways", "4"],
+                "--trace-capacity/--trace-ways/--trace-max-len: "
+                "capacity must be a multiple of ways",
+            ),
         ],
     )
     def test_bad_option_values_exit_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["table1", *argv])
         assert excinfo.value.code == 2
-        assert f"repro-run: error: {message}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before anything ran
+        errors = [line for line in captured.err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro-run: error: {message}")
+
+    def test_markdown_gets_sidecar_manifest(self, tmp_path, capsys):
+        report = tmp_path / "report.md"
+        code = main(["table2", "--workloads", "compress", "--markdown", str(report)])
+        assert code == 0
+        sidecar = tmp_path / "report.md.manifest.json"
+        assert report.exists() and sidecar.exists()
+        manifest = json.loads(sidecar.read_text())
+        assert manifest["kind"] == "suite"
+        assert manifest["schema"] == MANIFEST_SCHEMA
+        assert list(manifest["workloads"]) == ["compress"]
+        golden = json.loads(GOLDEN_DIGESTS.read_text())["primary"]["compress"]
+        assert manifest["workloads"]["compress"]["result_digest"] == golden
 
     def test_runs_single_experiment_on_subset(self, capsys):
         code = main(["table2", "--workloads", "m88ksim"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import pickle
 
 import pytest
@@ -16,7 +17,6 @@ from repro.harness.faults import (
     FaultSpec,
 )
 from repro.harness.runner import SuiteConfig
-from repro.obs import metrics as obs_metrics
 from repro.sim.errors import SimError
 
 
@@ -151,12 +151,15 @@ class TestCheckActions:
         clone = pickle.loads(pickle.dumps(error))
         assert clone.site == "cache.torn_write" and clone.injected
 
-    def test_injection_counter(self, metrics_enabled):
-        faults.install_plan(FaultPlan.parse("cache.torn_write:*:2"))
-        for _ in range(2):
-            with pytest.raises(FaultInjected):
+    def test_injection_counter(self):
+        plan = FaultPlan.parse("cache.torn_write:*:2")
+        faults.install_plan(plan)
+        for _ in range(3):
+            try:
                 faults.check("cache.torn_write")
-        assert metrics_enabled.value("fault.injected.cache.torn_write") == 2
+            except FaultInjected:
+                pass
+        assert [spec.fired for spec in plan.specs] == [2]
 
 
 class TestCacheFaultSites:
@@ -173,24 +176,29 @@ class TestCacheFaultSites:
         assert cache.load("go", config) == {"generation": 1}
         assert list(tmp_path.glob("*.tmp")) == []
 
-    def test_torn_first_write_leaves_no_entry(self, tmp_path, metrics_enabled):
+    def test_torn_first_write_leaves_no_entry(self, tmp_path, caplog):
         cache = ResultCache(tmp_path)
         config = SuiteConfig()
         faults.install_plan(FaultPlan.parse("cache.torn_write:go"))
         with pytest.raises(FaultInjected):
             cache.store("go", config, {"generation": 1})
         faults.install_plan(None)
-        assert cache.load("go", config) is None
+        with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
+            assert cache.load("go", config) is None
         assert list(tmp_path.glob("*")) == []
         # A clean miss, not a corrupt eviction.
-        assert metrics_enabled.value("cache.disk.corrupt") == 0
+        assert not caplog.records
 
-    def test_corrupt_store_is_evicted_on_load(self, tmp_path, metrics_enabled):
+    def test_corrupt_store_is_evicted_on_load(self, tmp_path, caplog):
         cache = ResultCache(tmp_path)
         config = SuiteConfig()
-        faults.install_plan(FaultPlan.parse("cache.corrupt:go"))
+        plan = FaultPlan.parse("cache.corrupt:go")
+        faults.install_plan(plan)
         cache.store("go", config, {"generation": 1})
         faults.install_plan(None)
-        assert cache.load("go", config) is None  # scribbled -> miss
-        assert metrics_enabled.value("cache.disk.corrupt") == 1
+        assert [spec.fired for spec in plan.specs] == [1]
+        with caplog.at_level(logging.WARNING, logger="repro.harness.cache"):
+            assert cache.load("go", config) is None  # scribbled -> miss
+        evictions = [r for r in caplog.records if "corrupt result-cache entry" in r.message]
+        assert len(evictions) == 1
         assert not cache.path_for("go", config).exists()  # evicted

@@ -185,22 +185,3 @@ class TestInvalidation:
         assert report.hits == 1
         assert report.misses == 3
         assert report.probes == 4
-
-
-class TestMetrics:
-    def test_on_finish_publishes_counters(self, metrics_enabled):
-        analyzer = TraceReuseAnalyzer()
-        feed(analyzer, region())
-        feed(analyzer, region())
-        analyzer.on_finish()
-        assert metrics_enabled.value("trace.probes") == 2
-        assert metrics_enabled.value("trace.hits") == 1
-        assert metrics_enabled.value("trace.covered_instructions") == 3
-        assert metrics_enabled.value("trace.recorded") == 1
-        assert metrics_enabled.value("trace.rejected") == 0
-        assert metrics_enabled.snapshot()["gauges"]["trace.occupancy"] == 1
-
-    def test_disabled_registry_stays_silent(self):
-        analyzer = TraceReuseAnalyzer()
-        feed(analyzer, region())
-        analyzer.on_finish()  # must not raise, must not record

@@ -52,6 +52,14 @@ class TestGeometry:
         with pytest.raises(ValueError):
             TraceReuseTable(max_trace_len=0)
 
+    @pytest.mark.parametrize(
+        "capacity, ways, name",
+        [(0, 4, "capacity"), (-8, 4, "capacity"), (16, 0, "ways")],
+    )
+    def test_nonpositive_sizes_rejected(self, capacity, ways, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            TraceReuseTable(capacity=capacity, ways=ways)
+
     def test_defaults(self):
         table = TraceReuseTable()
         assert table.capacity == 1024
