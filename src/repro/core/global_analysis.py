@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.asm.program import Program
-from repro.isa.convention import DATA_BASE, segment_of
+from repro.isa.convention import DATA_BASE, HEAP_BASE
 from repro.isa.instructions import Format, Kind
 from repro.isa.registers import GP, NUM_REGISTERS, RA, SP, V0, ZERO
 from repro.sim.events import StepRecord, SyscallEvent
@@ -45,6 +45,10 @@ TAG_NAMES = {
     GLOBAL_INIT: "global init data",
     EXTERNAL: "external input",
 }
+
+_ALU, _LOAD, _STORE, _BRANCH = Kind.ALU, Kind.LOAD, Kind.STORE, Kind.BRANCH
+_MULDIV, _MFHILO, _SYSCALL = Kind.MULDIV, Kind.MFHILO, Kind.SYSCALL
+_JUMP, _NOP, _CALL = Kind.JUMP, Kind.NOP, Kind.CALL
 
 #: Display order used by Table 3.
 CATEGORY_ORDER = ("internals", "global init data", "external input", "uninit")
@@ -96,9 +100,17 @@ class GlobalSourceAnalyzer(Analyzer):
         #: Word-address -> tag, for memory written during execution.
         self.mem_tags: Dict[int, int] = {}
         self.stats = {name: CategoryStats() for name in TAG_NAMES.values()}
-        self.dynamic_total = 0
-        self.dynamic_repeated = 0
+        #: ``self.stats`` indexed by tag.
+        self._tag_stats = [self.stats[TAG_NAMES[tag]] for tag in sorted(TAG_NAMES)]
         self._initialized_words: frozenset = frozenset()
+
+    @property
+    def dynamic_total(self) -> int:
+        return sum(stats.total for stats in self.stats.values())
+
+    @property
+    def dynamic_repeated(self) -> int:
+        return sum(stats.repeated for stats in self.stats.values())
 
     def on_start(self, program: Program) -> None:
         # The loader sets $zero/$gp/$sp to program constants.
@@ -114,71 +126,69 @@ class GlobalSourceAnalyzer(Analyzer):
                 initialized.add(base + offset)
         self._initialized_words = frozenset(initialized)
 
-    # -- tag helpers -------------------------------------------------------
-
-    def _memory_tag(self, address: int) -> int:
-        word = address & ~3
-        tag = self.mem_tags.get(word)
-        if tag is not None:
-            return tag
-        if segment_of(word) == "data" and word in self._initialized_words:
-            return GLOBAL_INIT
-        return UNINIT
-
     # -- event handlers ------------------------------------------------------
 
     def on_step(self, record: StepRecord) -> None:
         instr = record.instr
-        op = instr.op
-        kind = op.kind
+        kind = instr.op.kind
         reg_tags = self.reg_tags
 
-        if kind == Kind.LOAD:
-            tag = max(reg_tags[instr.rs], self._memory_tag(record.mem_addr))  # type: ignore[arg-type]
-            reg_tags[instr.rt] = tag if instr.rt != ZERO else INTERNAL
-        elif kind == Kind.STORE:
-            tag = max(reg_tags[instr.rt], reg_tags[instr.rs])
-            self.mem_tags[record.mem_addr & ~3] = reg_tags[instr.rt]  # type: ignore[operator]
-        elif kind == Kind.MULDIV:
-            tag = max(reg_tags[instr.rs], reg_tags[instr.rt])
-            self.hilo_tag = tag
-        elif kind == Kind.MFHILO:
-            tag = self.hilo_tag
-            if instr.rd != ZERO:
-                reg_tags[instr.rd] = tag
-        elif kind == Kind.SYSCALL:
-            # Category from $v0 (service number) and $a0 (argument); the
-            # external tagging of read results happens in on_syscall.
-            tag = max(reg_tags[V0], reg_tags[4])
-        elif kind in (Kind.JUMP, Kind.NOP):
-            tag = INTERNAL
-        elif kind == Kind.CALL:
-            tag = INTERNAL if op.fmt == Format.J else reg_tags[instr.rs]
-            link = instr.dest_register()
-            if link:
-                reg_tags[link] = INTERNAL
-        elif kind == Kind.JUMP_REG:
-            tag = reg_tags[instr.rs]
-        else:
-            sources = instr.source_registers()
+        # Most frequent kinds first; ``is`` works because every opcode
+        # shares the ``Kind`` string constants.
+        if kind is _ALU or kind is _BRANCH:
+            sources = instr.sources
             if sources:
                 tag = reg_tags[sources[0]]
-                for reg in sources[1:]:
-                    other = reg_tags[reg]
+                if len(sources) > 1:
+                    other = reg_tags[sources[1]]
                     if other > tag:
                         tag = other
             else:
                 tag = INTERNAL  # immediate-only (lui)
-            dest = instr.dest_register()
+            dest = instr.dest
             if dest:
                 reg_tags[dest] = tag
+        elif kind is _LOAD:
+            word = record.mem_addr & ~3  # type: ignore[operator]
+            tag = self.mem_tags.get(word)
+            if tag is None:
+                if DATA_BASE <= word < HEAP_BASE and word in self._initialized_words:
+                    tag = GLOBAL_INIT
+                else:
+                    tag = UNINIT
+            base = reg_tags[instr.rs]
+            if base > tag:
+                tag = base
+            reg_tags[instr.rt] = tag if instr.rt != ZERO else INTERNAL
+        elif kind is _STORE:
+            tag = max(reg_tags[instr.rt], reg_tags[instr.rs])
+            self.mem_tags[record.mem_addr & ~3] = reg_tags[instr.rt]  # type: ignore[operator]
+        elif kind is _MULDIV:
+            tag = max(reg_tags[instr.rs], reg_tags[instr.rt])
+            self.hilo_tag = tag
+        elif kind is _MFHILO:
+            tag = self.hilo_tag
+            if instr.rd != ZERO:
+                reg_tags[instr.rd] = tag
+        elif kind is _SYSCALL:
+            # Category from $v0 (service number) and $a0 (argument); the
+            # external tagging of read results happens in on_syscall.
+            tag = max(reg_tags[V0], reg_tags[4])
+        elif kind is _JUMP or kind is _NOP:
+            tag = INTERNAL
+        elif kind is _CALL:
+            tag = INTERNAL if instr.op.fmt == Format.J else reg_tags[instr.rs]
+            link = instr.dest
+            if link:
+                reg_tags[link] = INTERNAL
+        else:  # JUMP_REG
+            tag = reg_tags[instr.rs]
 
-        stats = self.stats[TAG_NAMES[tag]]
+        stats = self._tag_stats[tag]
         stats.total += 1
-        self.dynamic_total += 1
-        if self.tracker is not None and self.tracker.was_repeated(record):
+        tracker = self.tracker
+        if tracker is not None and tracker.was_repeated(record):
             stats.repeated += 1
-            self.dynamic_repeated += 1
 
     def on_syscall(self, event: SyscallEvent) -> None:
         if event.is_input and event.result is not None:

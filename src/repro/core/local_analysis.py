@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.asm.program import FunctionInfo, Program
-from repro.isa.convention import DATA_BASE, HEAP_BASE, segment_of
+from repro.isa.convention import DATA_BASE, HEAP_BASE, STACK_LIMIT, STACK_TOP
 from repro.isa.instructions import Format, Kind
 from repro.isa.registers import A0, GP, NUM_REGISTERS, RA, SP, V0, ZERO
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
@@ -64,6 +64,10 @@ _TAG_CATEGORY = {
     RETVAL: "return values",
     ARG: "arguments",
 }
+
+_ALU, _LOAD, _STORE, _BRANCH = Kind.ALU, Kind.LOAD, Kind.STORE, Kind.BRANCH
+_MULDIV, _MFHILO, _CALL = Kind.MULDIV, Kind.MFHILO, Kind.CALL
+_JUMP, _JUMP_REG, _NOP = Kind.JUMP, Kind.JUMP_REG, Kind.NOP
 
 #: Row order of Tables 5/6/7.
 CATEGORY_ORDER = (
@@ -172,14 +176,24 @@ class LocalAnalyzer(Analyzer):
     def __init__(self, tracker: Optional[RepetitionTracker] = None) -> None:
         self.tracker = tracker
         self.stats = {name: CategoryStats() for name in CATEGORY_ORDER}
-        self.dynamic_total = 0
-        self.dynamic_repeated = 0
+        #: ``self.stats`` of each tag's category, indexed by tag.
+        self._tag_stats = [self.stats[_TAG_CATEGORY[tag]] for tag in sorted(_TAG_CATEGORY)]
+        self._prologue = self.stats["prologue"]
+        self._epilogue = self.stats["epilogue"]
         self._stack: List[_LocalFrame] = [_LocalFrame(None, ())]
         #: Stack-segment word address -> local tag of the stored value.
         self._stack_mem_tags: Dict[int, int] = {}
         self._program: Optional[Program] = None
         #: function name -> [prologue+epilogue total, repeated].
         self._proepi: Dict[str, List[int]] = {}
+
+    @property
+    def dynamic_total(self) -> int:
+        return sum(stats.total for stats in self.stats.values())
+
+    @property
+    def dynamic_repeated(self) -> int:
+        return sum(stats.repeated for stats in self.stats.values())
 
     def on_start(self, program: Program) -> None:
         self._program = program
@@ -209,96 +223,110 @@ class LocalAnalyzer(Analyzer):
         instr = record.instr
         op = instr.op
         kind = op.kind
-        category: str
+        tag_stats = self._tag_stats
+        # True for the prologue/epilogue categories (Table 9).
+        proepi = False
 
-        if kind == Kind.STORE:
+        # Most frequent kinds first; ``is`` works because every opcode
+        # shares the ``Kind`` string constants.
+        if kind is _ALU:
+            if instr.rt == SP and instr.rs == SP and op.name == "addiu":
+                # Stack frame allocation / deallocation.
+                category = self._prologue if instr.imm < 0 else self._epilogue
+                proepi = True
+            else:
+                sources = instr.sources
+                if sources:
+                    tag = tags[sources[0]]
+                    if len(sources) > 1:
+                        other = tags[sources[1]]
+                        if other > tag:
+                            tag = other
+                    if tag == UNINIT:
+                        tag = INTERNAL
+                else:
+                    tag = INTERNAL
+                if op.name == "lui" and DATA_BASE <= record.dest_value < HEAP_BASE:
+                    # Synthesizing the upper half of a global address.
+                    tag = GLB_ADDR
+                category = tag_stats[tag]
+                dest = instr.dest
+                if dest:
+                    tags[dest] = tag
+        elif kind is _LOAD:
+            address = record.mem_addr
+            word = address & ~3  # type: ignore[operator]
+            if DATA_BASE <= address < HEAP_BASE:  # type: ignore[operator]
+                tag = GLOBAL
+                category = tag_stats[GLOBAL]
+            elif HEAP_BASE <= address < STACK_LIMIT:  # type: ignore[operator]
+                tag = HEAP
+                category = tag_stats[HEAP]
+            elif word in frame.prologue_slots:
+                tag = UNINIT
+                category = self._epilogue
+                proepi = True
+            else:
+                tag = self._stack_mem_tags.get(word, UNINIT)
+                category = tag_stats[tag]
+            if instr.rt != ZERO:
+                tags[instr.rt] = tag
+        elif kind is _BRANCH:
+            sources = instr.sources
+            tag = tags[sources[0]]
+            if len(sources) > 1:
+                other = tags[sources[1]]
+                if other > tag:
+                    tag = other
+            category = tag_stats[tag]
+        elif kind is _STORE:
             address = record.mem_addr
             value_tag = tags[instr.rt]
-            segment = segment_of(address)  # type: ignore[arg-type]
-            if value_tag == UNINIT and segment == "stack":
-                category = "prologue"
-                frame.prologue_slots.add(address & ~3)
+            in_stack = STACK_LIMIT <= address <= STACK_TOP  # type: ignore[operator]
+            if value_tag == UNINIT and in_stack:
+                category = self._prologue
+                proepi = True
+                frame.prologue_slots.add(address & ~3)  # type: ignore[operator]
                 self._stack_mem_tags[address & ~3] = UNINIT  # type: ignore[operator]
             else:
                 # The store belongs to the *data* slice it writes; the
                 # base address (SP/gp-derived) does not reclassify it.
-                category = _TAG_CATEGORY[value_tag]
-                if segment == "stack":
+                category = tag_stats[value_tag]
+                if in_stack:
                     self._stack_mem_tags[address & ~3] = value_tag  # type: ignore[operator]
-        elif kind == Kind.LOAD:
-            address = record.mem_addr
-            word = address & ~3  # type: ignore[operator]
-            segment = segment_of(address)  # type: ignore[arg-type]
-            if segment == "data":
-                tag = GLOBAL
-                category = "global"
-            elif segment == "heap":
-                tag = HEAP
-                category = "heap"
-            elif word in frame.prologue_slots:
-                tag = UNINIT
-                category = "epilogue"
-            else:
-                tag = self._stack_mem_tags.get(word, UNINIT)
-                category = _TAG_CATEGORY[tag]
-            if instr.rt != ZERO:
-                tags[instr.rt] = tag
-        elif kind == Kind.ALU and instr.rt == SP and instr.rs == SP and op.name == "addiu":
-            # Stack frame allocation / deallocation.
-            category = "prologue" if instr.imm < 0 else "epilogue"
-        elif kind == Kind.JUMP_REG:
+        elif kind is _JUMP_REG:
             if instr.rs == RA:
-                category = "return"
+                category = self.stats["return"]
             else:
-                category = _TAG_CATEGORY[tags[instr.rs]]
-        elif kind in (Kind.JUMP, Kind.NOP):
-            category = "function internals"
-        elif kind == Kind.CALL:
+                category = tag_stats[tags[instr.rs]]
+        elif kind is _JUMP or kind is _NOP:
+            category = tag_stats[INTERNAL]
+        elif kind is _CALL:
             if op.fmt == Format.J:
-                category = "function internals"
+                category = tag_stats[INTERNAL]
             else:
-                category = _TAG_CATEGORY[tags[instr.rs]]
-            link = instr.dest_register()
+                category = tag_stats[tags[instr.rs]]
+            link = instr.dest
             if link:
                 tags[link] = INTERNAL
-        elif kind == Kind.MULDIV:
+        elif kind is _MULDIV:
             tag = max(tags[instr.rs], tags[instr.rt])
             frame.hilo_tag = tag
-            category = _TAG_CATEGORY[tag]
-        elif kind == Kind.MFHILO:
+            category = tag_stats[tag]
+        elif kind is _MFHILO:
             tag = frame.hilo_tag
-            category = _TAG_CATEGORY[tag]
+            category = tag_stats[tag]
             if instr.rd != ZERO:
                 tags[instr.rd] = tag
-        elif kind == Kind.SYSCALL:
-            category = _TAG_CATEGORY[max(tags[V0], tags[A0])]
-        else:
-            tag = INTERNAL
-            sources = instr.source_registers()
-            if sources:
-                tag = tags[sources[0]]
-                for reg in sources[1:]:
-                    other = tags[reg]
-                    if other > tag:
-                        tag = other
-            if op.name == "lui" and DATA_BASE <= record.dest_value < HEAP_BASE:
-                # Synthesizing the upper half of a global address.
-                tag = GLB_ADDR
-            if tag == UNINIT:
-                tag = INTERNAL
-            category = _TAG_CATEGORY[tag]
-            dest = instr.dest_register()
-            if dest:
-                tags[dest] = tag
+        else:  # SYSCALL
+            category = tag_stats[max(tags[V0], tags[A0])]
 
-        stats = self.stats[category]
-        stats.total += 1
-        self.dynamic_total += 1
-        repeated = self.tracker is not None and self.tracker.was_repeated(record)
+        category.total += 1
+        tracker = self.tracker
+        repeated = tracker is not None and tracker.was_repeated(record)
         if repeated:
-            stats.repeated += 1
-            self.dynamic_repeated += 1
-        if category in ("prologue", "epilogue") and frame.function is not None:
+            category.repeated += 1
+        if proepi and frame.function is not None:
             entry = self._proepi.get(frame.function.name)
             if entry is None:
                 entry = [0, 0]

@@ -2,7 +2,7 @@
 
 Models the scheme of Sodani & Sohi's "Dynamic Instruction Reuse" (ISCA
 '97) at the fidelity Table 10 needs: a PC-indexed set-associative buffer
-whose entries hold one dynamic instance (operand values and results) of a
+whose entries hold one dynamic instance (PC and operand values) of a
 static instruction.  An instruction *reuses* when it hits an entry with
 matching PC and operand values — by determinism its results then equal
 the buffered results, so every reuse is a repetition; the buffer simply
@@ -17,8 +17,9 @@ entry, keeping reuse semantically safe (the paper's scheme ``Sv``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
+from repro.isa.instructions import Kind
 from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer
 
@@ -27,20 +28,10 @@ DEFAULT_ENTRIES = 8192
 DEFAULT_ASSOCIATIVITY = 4
 
 
-class _Entry:
-    __slots__ = ("pc", "inputs", "outputs", "mem_word")
-
-    def __init__(
-        self,
-        pc: int,
-        inputs: Tuple[int, ...],
-        outputs: Tuple[int, ...],
-        mem_word: Optional[int],
-    ) -> None:
-        self.pc = pc
-        self.inputs = inputs
-        self.outputs = outputs
-        self.mem_word = mem_word
+#: A buffered instance: ``(pc, operand values)``.  By determinism the
+#: results of a matching instance equal the buffered ones, so they are
+#: not kept.
+_Key = Tuple[int, Tuple[int, ...]]
 
 
 @dataclass
@@ -82,10 +73,11 @@ class ReuseBuffer(Analyzer):
             raise ValueError("entries must be a multiple of associativity")
         self.num_sets = entries // associativity
         self.associativity = associativity
-        #: Sets are MRU-first lists.
-        self._sets: List[List[_Entry]] = [[] for _ in range(self.num_sets)]
-        #: memory word -> entries caching a load of that word.
-        self._by_word: Dict[int, Set[_Entry]] = {}
+        #: Sets are MRU-first lists of entry keys.
+        self._sets: List[List[_Key]] = [[] for _ in range(self.num_sets)]
+        #: memory word -> keys of resident loads of that word, and back.
+        self._by_word: Dict[int, Set[_Key]] = {}
+        self._load_word: Dict[_Key, int] = {}
         self.dynamic_total = 0
         self.reuse_hits = 0
         self.invalidations = 0
@@ -104,58 +96,50 @@ class ReuseBuffer(Analyzer):
             )
         return self.last_was_hit
 
-    def _set_for(self, pc: int) -> List[_Entry]:
-        return self._sets[(pc >> 2) % self.num_sets]
-
-    def _drop_word_link(self, entry: _Entry) -> None:
-        if entry.mem_word is None:
-            return
-        linked = self._by_word.get(entry.mem_word)
-        if linked is not None:
-            linked.discard(entry)
-            if not linked:
-                del self._by_word[entry.mem_word]
-
     def on_step(self, record: StepRecord) -> None:
         self.dynamic_total += 1
         self.last_index = record.index
-        self.last_was_hit = False
-        pc = record.pc
-        bucket = self._set_for(pc)
+        sets = self._sets
+        num_sets = self.num_sets
 
         # Stores invalidate any buffered load of the written word (before
         # the store itself could be entered, order is irrelevant for it).
         if record.store_value is not None:
-            word = record.mem_addr & ~3  # type: ignore[operator]
-            linked = self._by_word.pop(word, None)
+            linked = self._by_word.pop(record.mem_addr & ~3, None)  # type: ignore[operator]
             if linked:
-                for entry in linked:
-                    entry_set = self._set_for(entry.pc)
-                    if entry in entry_set:
-                        entry_set.remove(entry)
-                        self.invalidations += 1
+                for key in linked:
+                    sets[(key[0] >> 2) % num_sets].remove(key)
+                    del self._load_word[key]
+                self.invalidations += len(linked)
 
-        for index, entry in enumerate(bucket):
-            if entry.pc == pc and entry.inputs == record.inputs:
-                # Reuse hit; refresh LRU position.
-                if index:
-                    bucket.insert(0, bucket.pop(index))
-                self.reuse_hits += 1
-                self.last_was_hit = True
-                return
+        pc = record.pc
+        bucket = sets[(pc >> 2) % num_sets]
+        key = (pc, record.inputs)
+        if key in bucket:
+            # Reuse hit; refresh LRU position.
+            if bucket[0] != key:
+                bucket.remove(key)
+                bucket.insert(0, key)
+            self.reuse_hits += 1
+            self.last_was_hit = True
+            return
 
         # Miss: insert this instance, evicting the LRU entry if needed.
-        mem_word = None
-        if record.instr.is_load:
-            mem_word = record.mem_addr & ~3  # type: ignore[operator]
-        new_entry = _Entry(pc, record.inputs, record.outputs, mem_word)
+        self.last_was_hit = False
         if len(bucket) >= self.associativity:
             victim = bucket.pop()
-            self._drop_word_link(victim)
+            word = self._load_word.pop(victim, None)
+            if word is not None:
+                linked = self._by_word[word]
+                linked.discard(victim)
+                if not linked:
+                    del self._by_word[word]
             self.evictions += 1
-        bucket.insert(0, new_entry)
-        if mem_word is not None:
-            self._by_word.setdefault(mem_word, set()).add(new_entry)
+        bucket.insert(0, key)
+        if record.instr.op.kind is Kind.LOAD:
+            word = record.mem_addr & ~3  # type: ignore[operator]
+            self._load_word[key] = word
+            self._by_word.setdefault(word, set()).add(key)
 
     @property
     def occupancy(self) -> int:

@@ -97,7 +97,7 @@ class SliceRecorder(Analyzer):
                 if writer:
                     deps.append(writer)
         else:
-            for reg in instr.source_registers():
+            for reg in instr.sources:
                 writer = self._reg_writer[reg]
                 if writer:
                     deps.append(writer)
@@ -117,7 +117,7 @@ class SliceRecorder(Analyzer):
             self._mem_writer[record.mem_addr & ~3] = index  # type: ignore[operator]
         elif kind == Kind.MULDIV:
             self._hilo_writer = index
-        dest = instr.dest_register()
+        dest = instr.dest
         if dest and dest != ZERO:
             self._reg_writer[dest] = index
 

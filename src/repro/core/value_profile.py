@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.isa.convention import segment_of
+from repro.isa.convention import DATA_BASE, STACK_LIMIT
+from repro.isa.instructions import Kind
 from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer
 
@@ -50,9 +51,10 @@ class GlobalLoadValueProfiler(Analyzer):
         self.loads_profiled = 0
 
     def on_step(self, record: StepRecord) -> None:
-        if not record.instr.is_load:
+        if record.instr.op.kind is not Kind.LOAD:
             return
-        if segment_of(record.mem_addr) not in ("data", "heap"):  # type: ignore[arg-type]
+        # The data and heap segments are contiguous.
+        if not DATA_BASE <= record.mem_addr < STACK_LIMIT:  # type: ignore[operator]
             return
         self.loads_profiled += 1
         profile = self._profiles.get(record.pc)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.repetition import RepetitionTracker
 from repro.core.reuse_buffer import ReuseBuffer
@@ -56,8 +56,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=2000,
         help="unique instances buffered per static instruction (paper: 2000)",
     )
-    parser.add_argument("--reuse-entries", type=int, default=8192)
-    parser.add_argument("--reuse-assoc", type=int, default=4)
+    parser.add_argument(
+        "--reuse-entries",
+        type=int,
+        default=8192,
+        help="reuse buffer entries (paper: 8192)",
+    )
+    parser.add_argument(
+        "--reuse-assoc",
+        type=int,
+        default=4,
+        help="reuse buffer associativity (paper: 4)",
+    )
     parser.add_argument(
         "--trace-capacity",
         type=int,
@@ -136,14 +146,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _validate(
     parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> SuiteConfig:
+) -> Tuple[SuiteConfig, Optional[List[str]]]:
     """Reject bad option values up front (exit 2, one error line).
 
-    Returns the run's config.  Sizes are checked by building the config
-    and the tables they size, so the rules live in one place each.
+    Returns the run's config and workload names (``None``: all eight).
+    Sizes are checked by building the config and the tables they size,
+    so the rules live in one place each.
     """
+    names = None
     if args.workloads:
-        names = args.workloads.split(",")
+        names = [name.strip() for name in args.workloads.split(",")]
+        if "" in names:
+            parser.error(f"--workloads: empty name in {args.workloads!r}")
         unknown = [name for name in names if name not in WORKLOADS]
         if unknown:
             parser.error(
@@ -194,14 +208,14 @@ def _validate(
             build(*sizes)
         except ValueError as exc:
             parser.error(f"{flags}: {exc}")
-    return config
+    return config, names
 
 
 @quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _validate(parser, args)
+    config, names = _validate(parser, args)
     if args.list:
         for exp_id in EXPERIMENT_ORDER:
             exp = EXPERIMENTS[exp_id]
@@ -221,8 +235,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         set_cache_dir(None)
     elif args.cache_dir:
         set_cache_dir(args.cache_dir)
-
-    names = args.workloads.split(",") if args.workloads else None
 
     started = time.time()
     results = run_suite(

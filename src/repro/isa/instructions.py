@@ -148,6 +148,37 @@ OPCODES: "dict[str, OpcodeInfo]" = {
 }
 
 
+def _source_registers(op: OpcodeInfo, rs: int, rt: int) -> "tuple[int, ...]":
+    fmt = op.fmt
+    if fmt in (Format.R3, Format.BR2, Format.MULDIV):
+        return (rs, rt)
+    if fmt == Format.R3_SHIFTV:
+        return (rt, rs)
+    if fmt == Format.SHIFT:
+        return (rt,)
+    if fmt in (Format.I2, Format.MEM, Format.BR1, Format.JR, Format.JALR):
+        if op.kind == Kind.STORE:
+            return (rt, rs)
+        return (rs,)
+    return ()
+
+
+def _dest_register(op: OpcodeInfo, rd: int, rt: int) -> Optional[int]:
+    fmt = op.fmt
+    kind = op.kind
+    if fmt in (Format.R3, Format.R3_SHIFTV, Format.SHIFT, Format.MFHILO):
+        return rd
+    if fmt == Format.JALR:
+        return rd
+    if fmt in (Format.I2, Format.LUI):
+        return rt
+    if kind == Kind.LOAD:
+        return rt
+    if kind == Kind.CALL and fmt == Format.J:
+        return RA
+    return None
+
+
 class Instruction:
     """One decoded static instruction.
 
@@ -156,9 +187,17 @@ class Instruction:
     holds a resolved absolute address for jumps/branches.  ``addr`` is the
     instruction's own address, assigned by the assembler, and ``label`` is
     the original symbolic target, kept for disassembly.
+
+    ``sources`` (the registers read, in operand order) and ``dest`` (the
+    general register written, or ``None``) are computed once here: the
+    analyzers read them on every retired instruction, and no code changes
+    ``op``/``rs``/``rt``/``rd`` after construction.
     """
 
-    __slots__ = ("op", "rd", "rs", "rt", "imm", "shamt", "target", "addr", "label")
+    __slots__ = (
+        "op", "rd", "rs", "rt", "imm", "shamt", "target", "addr", "label",
+        "sources", "dest",
+    )
 
     def __init__(
         self,
@@ -181,6 +220,8 @@ class Instruction:
         self.target = target
         self.addr = addr
         self.label = label
+        self.sources = _source_registers(op, rs, rt)
+        self.dest = _dest_register(op, rd, rt)
 
     @property
     def is_load(self) -> bool:
@@ -200,34 +241,11 @@ class Instruction:
 
     def source_registers(self) -> "tuple[int, ...]":
         """Register indices this instruction reads, in operand order."""
-        fmt = self.op.fmt
-        if fmt in (Format.R3, Format.BR2, Format.MULDIV):
-            return (self.rs, self.rt)
-        if fmt == Format.R3_SHIFTV:
-            return (self.rt, self.rs)
-        if fmt == Format.SHIFT:
-            return (self.rt,)
-        if fmt in (Format.I2, Format.MEM, Format.BR1, Format.JR, Format.JALR):
-            if self.op.kind == Kind.STORE:
-                return (self.rt, self.rs)
-            return (self.rs,)
-        return ()
+        return self.sources
 
     def dest_register(self) -> Optional[int]:
         """The general register this instruction writes, if any."""
-        fmt = self.op.fmt
-        kind = self.op.kind
-        if fmt in (Format.R3, Format.R3_SHIFTV, Format.SHIFT, Format.MFHILO):
-            return self.rd
-        if fmt == Format.JALR:
-            return self.rd
-        if fmt in (Format.I2, Format.LUI):
-            return self.rt
-        if kind == Kind.LOAD:
-            return self.rt
-        if kind == Kind.CALL and fmt == Format.J:
-            return RA
-        return None
+        return self.dest
 
     def disassemble(self) -> str:
         """Render the instruction back to assembly text."""

@@ -19,7 +19,9 @@ definition of an instruction instance:
   hi/lo value as input.
 
 Immediates and shift amounts are part of the *static* instruction and
-therefore excluded from the dynamic instance.
+therefore excluded from the dynamic instance.  Except for syscalls and
+``mfhi``/``mflo``, ``inputs[i]`` is the value read from register
+``instr.sources[i]``; the analyzers rely on that pairing.
 """
 
 from __future__ import annotations

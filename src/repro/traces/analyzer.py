@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.isa.instructions import Kind
+from repro.isa.instructions import Instruction
 from repro.isa.registers import A0, NUM_REGISTERS, V0
 from repro.sim.events import StepRecord
 from repro.sim.observer import Analyzer
@@ -40,8 +40,15 @@ from repro.traces.trace import (
     BOUNDARY_END,
     BOUNDARY_EXCLUDE,
     CLASS_NAMES,
+    CTRL_CALL,
+    CTRL_MFHI,
+    CTRL_PLAIN,
+    CTRL_RETURN,
+    CTRL_SYSCALL,
+    MEM_MULDIV,
     NUM_CLASSES,
-    boundary_kind,
+    Facts,
+    trace_facts,
 )
 
 #: Fixed histogram buckets for the trace-length distribution panel.
@@ -134,12 +141,15 @@ class TraceReuseAnalyzer(Analyzer):
     ) -> None:
         self.table = TraceReuseTable(capacity, ways, max_trace_len)
         self.policy = policy if policy is not None else SafetyPolicy()
+        self._max_len = max_trace_len
         self._shadow: list = [None] * NUM_REGISTERS
         self._shadow[0] = 0
         self._shadow_hi: Optional[int] = None
         self._shadow_lo: Optional[int] = None
         self._replaying = 0
         self._builder: Optional[TraceBuilder] = None
+        #: Static instruction -> its :func:`trace_facts` tuple.
+        self._facts: Dict[Instruction, Facts] = {}
         self.dynamic_total = 0
         self.probes = 0
         self.hits = 0
@@ -155,55 +165,75 @@ class TraceReuseAnalyzer(Analyzer):
     def on_step(self, record: StepRecord) -> None:
         self.dynamic_total += 1
         instr = record.instr
+        facts = self._facts.get(instr)
+        if facts is None:
+            facts = self._facts[instr] = trace_facts(instr)
+        bk, _cls, control, memory, width = facts
 
         # Store-based invalidation keeps resident memory live-ins fresh
         # (before the probe, mirroring the instruction buffer's order).
         if record.store_value is not None:
-            self.table.invalidate_store(record.mem_addr, instr.op.mem_width)
+            self.table.invalidate_store(record.mem_addr, width)
 
-        if self._replaying:
+        builder = self._builder
+        if builder is not None:
+            if bk == BOUNDARY_EXCLUDE:
+                # Region ends *before* this instruction.
+                self._finalize(builder, record.pc)
+                self._builder = None
+            elif builder.feed(record, facts) or bk == BOUNDARY_END:
+                self._finalize(builder, step_next_pc(record))
+                self._builder = None
+        elif self._replaying:
             # Inside a hit trace's body: already accounted at the probe.
             self._replaying -= 1
-        else:
-            builder = self._builder
-            bk = boundary_kind(instr)
-            if builder is not None:
-                if bk == BOUNDARY_EXCLUDE:
-                    # Region ends *before* this instruction.
-                    self._finalize(builder, record.pc)
+        elif bk != BOUNDARY_EXCLUDE:
+            # Region start: probe, then start recording on a miss.
+            self.probes += 1
+            hit = self.table.lookup(
+                record.pc, self._shadow, self._shadow_hi, self._shadow_lo
+            )
+            if hit is not None:
+                self.hits += 1
+                self.covered_instructions += hit.length
+                self.hit_lengths[hit.length] += 1
+                covered = self.class_covered
+                for index, count in enumerate(hit.class_counts):
+                    covered[index] += count
+                self._replaying = hit.length - 1
+            else:
+                self.misses += 1
+                builder = self._builder = TraceBuilder(record.pc, self._max_len)
+                if builder.feed(record, facts) or bk == BOUNDARY_END:
+                    self._finalize(builder, step_next_pc(record))
                     self._builder = None
-                else:
-                    builder.feed(record)
-                    if bk == BOUNDARY_END or builder.length >= self.table.max_trace_len:
-                        self._finalize(builder, step_next_pc(record))
-                        self._builder = None
-            elif bk != BOUNDARY_EXCLUDE:
-                # Region start: probe, then start recording on a miss.
-                self.probes += 1
-                hit = self.table.lookup(
-                    record.pc, self._shadow, self._shadow_hi, self._shadow_lo
-                )
-                if hit is not None:
-                    self.hits += 1
-                    self.covered_instructions += hit.length
-                    self.hit_lengths[hit.length] += 1
-                    covered = self.class_covered
-                    for index, count in enumerate(hit.class_counts):
-                        covered[index] += count
-                    self._replaying = hit.length - 1
-                else:
-                    self.misses += 1
-                    builder = self._builder = TraceBuilder(
-                        record.pc, self.table.max_trace_len
-                    )
-                    builder.feed(record)
-                    if bk == BOUNDARY_END or builder.length >= self.table.max_trace_len:
-                        self._finalize(builder, step_next_pc(record))
-                        self._builder = None
-            # An excluded instruction at a region start is its own
-            # (unprobeable) region; the next step starts fresh.
+        # An excluded instruction at a region start is its own
+        # (unprobeable) region; the next step starts fresh.
 
-        self._update_shadow(record)
+        # Shadow registers: every observed operand read and register write.
+        shadow = self._shadow
+        inputs = record.inputs
+        if control is CTRL_PLAIN or control is CTRL_CALL or control is CTRL_RETURN:
+            # ``inputs[i]`` is the value of ``sources[i]``.  Writing the
+            # ``$zero`` slot is harmless: no trace has ``$zero`` as a live-in.
+            sources = instr.sources
+            if sources:
+                shadow[sources[0]] = inputs[0]
+                if len(sources) > 1:
+                    shadow[sources[1]] = inputs[1]
+        elif control is CTRL_SYSCALL:
+            if len(inputs) >= 2:
+                shadow[V0] = inputs[0]
+                shadow[A0] = inputs[1]
+        elif control is CTRL_MFHI:
+            self._shadow_hi = inputs[0]
+        else:
+            self._shadow_lo = inputs[0]
+        if memory is MEM_MULDIV:
+            self._shadow_hi, self._shadow_lo = record.outputs
+        dest = record.dest_reg
+        if dest:
+            shadow[dest] = record.dest_value
 
     def _finalize(self, builder: TraceBuilder, end_pc: int) -> None:
         reason = check_candidate(builder, self.policy)
@@ -216,30 +246,6 @@ class TraceReuseAnalyzer(Analyzer):
                 self.recorded_length_max = trace.length
         else:
             self.rejections[reason] += 1
-
-    def _update_shadow(self, record: StepRecord) -> None:
-        shadow = self._shadow
-        instr = record.instr
-        kind = instr.op.kind
-        inputs = record.inputs
-        if kind is Kind.MFHILO:
-            if instr.op.name == "mfhi":
-                self._shadow_hi = inputs[0]
-            else:
-                self._shadow_lo = inputs[0]
-        elif kind is Kind.SYSCALL:
-            if len(inputs) >= 2:
-                shadow[V0] = inputs[0]
-                shadow[A0] = inputs[1]
-        else:
-            for reg, value in zip(instr.source_registers(), inputs):
-                if reg:
-                    shadow[reg] = value
-        if kind is Kind.MULDIV:
-            self._shadow_hi, self._shadow_lo = record.outputs
-        dest = record.dest_reg
-        if dest:
-            shadow[dest] = record.dest_value
 
     def report(self) -> TraceReuseReport:
         hist: Dict[str, int] = {label: 0 for label in LENGTH_BUCKET_LABELS}

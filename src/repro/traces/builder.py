@@ -1,9 +1,9 @@
 """Trace builder: fold a straight-line run of step records into a trace.
 
-The builder is fed one executed instruction at a time (as the
-:class:`~repro.sim.events.StepRecord`-shaped facts the engines already
-produce) and maintains the dataflow summary a :class:`~repro.traces.trace
-.Trace` needs:
+The builder is fed one executed instruction at a time (the
+:class:`~repro.sim.events.StepRecord` the engines already produce, with
+its static :func:`~repro.traces.trace.trace_facts`) and maintains the
+dataflow summary a :class:`~repro.traces.trace.Trace` needs:
 
 * a register read whose value was not produced earlier in the trace is a
   register live-in;
@@ -26,12 +26,25 @@ candidate assembled any other way still cannot slip through.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
-from repro.isa.convention import segment_of
+from repro.isa.convention import DATA_BASE, STACK_TOP
 from repro.isa.instructions import Kind
 from repro.isa.registers import A0, V0
-from repro.traces.trace import NUM_CLASSES, Trace, class_of
+from repro.traces.trace import (
+    CTRL_CALL,
+    CTRL_MFHI,
+    CTRL_MFLO,
+    CTRL_PLAIN,
+    CTRL_RETURN,
+    CTRL_SYSCALL,
+    MEM_LOAD,
+    MEM_STORE,
+    NUM_CLASSES,
+    Facts,
+    Trace,
+    trace_facts,
+)
 
 #: Rejection reasons (shared with :mod:`repro.traces.safety`).
 REASON_SYSCALL = "syscall"
@@ -43,10 +56,12 @@ REASON_TOO_SHORT = "too-short"
 REASON_TOO_LONG = "too-long"
 REASON_IMPLICIT_INPUT = "implicit-input"
 
-#: Segments a memoized store may legally target.
-TRACKED_SEGMENTS = ("data", "heap", "stack")
-
 _WIDTH_MASK = {1: 0xFF, 2: 0xFFFF, 4: 0xFFFFFFFF}
+_UNSAFE_REASON = {
+    CTRL_SYSCALL: REASON_SYSCALL,
+    CTRL_CALL: REASON_CALL,
+    CTRL_RETURN: REASON_RETURN,
+}
 
 
 def step_next_pc(record) -> int:
@@ -65,6 +80,20 @@ def step_next_pc(record) -> int:
 class TraceBuilder:
     """Accumulates one trace candidate from consecutive step records."""
 
+    __slots__ = (
+        "start_pc",
+        "max_len",
+        "length",
+        "unsafe",
+        "_reg_in",
+        "_seen_regs",
+        "_mem_in",
+        "_written_bytes",
+        "_hi_lo_in",
+        "_hilo_written",
+        "_class_counts",
+    )
+
     def __init__(self, start_pc: int, max_len: int) -> None:
         self.start_pc = start_pc
         self.max_len = max_len
@@ -72,97 +101,109 @@ class TraceBuilder:
         #: First structural-safety violation seen, or ``None``.
         self.unsafe: Optional[str] = None
         self._reg_in: Dict[int, int] = {}
-        self._written_regs: Set[int] = set()
-        self._mem_in: List[Tuple[int, int, int]] = []
-        self._mem_in_seen: Set[Tuple[int, int]] = set()
-        self._written_bytes: Set[int] = set()
-        self._hi_lo_in: List[Tuple[bool, int]] = []
-        self._hi_in_seen = False
-        self._lo_in_seen = False
+        #: Registers that cannot become live-ins any more: ``$zero``, the
+        #: live-ins themselves and every register written in-trace.
+        self._seen_regs: Set[int] = {0}
+        #: ``(address, width) -> (address, width, raw)``, first-read order.
+        self._mem_in: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        #: Bytes stored in-trace, created at the first store: one empty set
+        #: per candidate (~200k per suite) raised peak RSS by ~2 MB.
+        self._written_bytes: Optional[Set[int]] = None
+        #: ``from_hi -> value``, first-read order.
+        self._hi_lo_in: Dict[bool, int] = {}
         self._hilo_written = False
         self._class_counts = [0] * NUM_CLASSES
 
     @property
     def mem_live_ins(self) -> Tuple[Tuple[int, int, int], ...]:
-        return tuple(self._mem_in)
+        return tuple(self._mem_in.values())
 
-    def _note_reg_reads(self, pairs) -> None:
-        reg_in = self._reg_in
-        written = self._written_regs
-        for reg, value in pairs:
-            if reg and reg not in written and reg not in reg_in:
-                reg_in[reg] = value
+    def feed(self, record, facts: Optional[Facts] = None) -> bool:
+        """Fold one executed step into the candidate; True once it holds
+        ``max_len`` instructions.
 
-    def feed(self, record) -> None:
-        """Fold one executed step into the candidate."""
-        instr = record.instr
-        op = instr.op
-        kind = op.kind
-        inputs = record.inputs
+        ``facts`` is the step's :func:`~repro.traces.trace.trace_facts`
+        tuple; drivers pass it memoized, and it is derived when omitted.
+        """
+        if facts is None:
+            facts = trace_facts(record.instr)
+        _boundary, cls, control, memory, width = facts
+        self._class_counts[cls] += 1
+        seen = self._seen_regs
 
-        if kind is Kind.SYSCALL:
-            if self.unsafe is None:
-                self.unsafe = REASON_SYSCALL
-            if len(inputs) >= 2:
-                self._note_reg_reads(((V0, inputs[0]), (A0, inputs[1])))
-        elif kind is Kind.CALL:
-            if self.unsafe is None:
-                self.unsafe = REASON_CALL
-            self._note_reg_reads(zip(instr.source_registers(), inputs))
-        elif instr.is_return:
-            if self.unsafe is None:
-                self.unsafe = REASON_RETURN
-            self._note_reg_reads(zip(instr.source_registers(), inputs))
-        elif kind is Kind.MFHILO:
-            if not self._hilo_written:
-                from_hi = op.name == "mfhi"
-                if from_hi and not self._hi_in_seen:
-                    self._hi_in_seen = True
-                    self._hi_lo_in.append((True, inputs[0]))
-                elif not from_hi and not self._lo_in_seen:
-                    self._lo_in_seen = True
-                    self._hi_lo_in.append((False, inputs[0]))
+        if control is CTRL_PLAIN:
+            # ``inputs[i]`` is the value of ``sources[i]`` (at most two).
+            sources = record.instr.sources
+            if sources:
+                reg = sources[0]
+                if reg not in seen:
+                    seen.add(reg)
+                    self._reg_in[reg] = record.inputs[0]
+                if len(sources) > 1:
+                    reg = sources[1]
+                    if reg not in seen:
+                        seen.add(reg)
+                        self._reg_in[reg] = record.inputs[1]
+        elif control is CTRL_MFHI or control is CTRL_MFLO:
+            from_hi = control is CTRL_MFHI
+            if not self._hilo_written and from_hi not in self._hi_lo_in:
+                self._hi_lo_in[from_hi] = record.inputs[0]
         else:
-            self._note_reg_reads(zip(instr.source_registers(), inputs))
+            # Excluded instructions: normal drivers never feed these.
+            if self.unsafe is None:
+                self.unsafe = _UNSAFE_REASON[control]
+            inputs = record.inputs
+            if control is not CTRL_SYSCALL:
+                reads = zip(record.instr.sources, inputs)
+            elif len(inputs) >= 2:
+                reads = ((V0, inputs[0]), (A0, inputs[1]))
+            else:
+                reads = ()
+            for reg, value in reads:
+                if reg not in seen:
+                    seen.add(reg)
+                    self._reg_in[reg] = value
 
-        if kind is Kind.LOAD:
+        if memory:
             address = record.mem_addr
-            width = op.mem_width
-            covered = sum(
-                1 for b in range(address, address + width) if b in self._written_bytes
-            )
-            if covered == 0:
-                key = (address, width)
-                if key not in self._mem_in_seen:
-                    self._mem_in_seen.add(key)
-                    raw = record.outputs[0] & _WIDTH_MASK[width]
-                    self._mem_in.append((address, width, raw))
-            elif covered != width and self.unsafe is None:
-                self.unsafe = REASON_OVERLAP
-        elif kind is Kind.STORE:
-            address = record.mem_addr
-            width = op.mem_width
-            if self.unsafe is None and segment_of(address) not in TRACKED_SEGMENTS:
-                self.unsafe = REASON_UNTRACKED_STORE
-            self._written_bytes.update(range(address, address + width))
-        elif kind is Kind.MULDIV:
-            self._hilo_written = True
+            if memory is MEM_LOAD:
+                written_bytes = self._written_bytes
+                covered = 0
+                if written_bytes is not None:
+                    for byte in range(address, address + width):
+                        if byte in written_bytes:
+                            covered += 1
+                if covered == 0:
+                    key = (address, width)
+                    if key not in self._mem_in:
+                        raw = record.outputs[0] & _WIDTH_MASK[width]
+                        self._mem_in[key] = (address, width, raw)
+                elif covered != width and self.unsafe is None:
+                    self.unsafe = REASON_OVERLAP
+            elif memory is MEM_STORE:
+                # The tracked data, heap and stack segments are contiguous.
+                if self.unsafe is None and not DATA_BASE <= address <= STACK_TOP:
+                    self.unsafe = REASON_UNTRACKED_STORE
+                if self._written_bytes is None:
+                    self._written_bytes = set()
+                self._written_bytes.update(range(address, address + width))
+            else:  # MEM_MULDIV
+                self._hilo_written = True
 
         dest = record.dest_reg
         if dest:
-            self._written_regs.add(dest)
-
-        self._class_counts[class_of(instr)] += 1
+            seen.add(dest)
         self.length += 1
+        return self.length >= self.max_len
 
     def build(self, end_pc: int) -> Trace:
         """Materialize the finished candidate as an immutable trace."""
         return Trace(
-            start_pc=self.start_pc,
-            end_pc=end_pc,
-            length=self.length,
-            reg_in=tuple(sorted(self._reg_in.items())),
-            mem_in=tuple(self._mem_in),
-            hi_lo_in=tuple(self._hi_lo_in),
-            class_counts=tuple(self._class_counts),
+            self.start_pc,
+            end_pc,
+            self.length,
+            tuple(sorted(self._reg_in.items())),
+            tuple(self._mem_in.values()),
+            tuple(self._hi_lo_in.items()),
+            tuple(self._class_counts),
         )

@@ -55,9 +55,6 @@ class TraceReuseTable:
         self.evictions = 0
         self.invalidations = 0
 
-    def _set_for(self, pc: int) -> List[Trace]:
-        return self._sets[(pc >> 2) % self.num_sets]
-
     def entries_at(self, pc: int) -> Optional[List[Trace]]:
         """Resident traces starting at ``pc`` (MRU-first), or ``None``."""
         return self._by_pc.get(pc)
@@ -75,7 +72,7 @@ class TraceReuseTable:
 
     def promote(self, trace: Trace) -> None:
         """Refresh ``trace``'s MRU position after a hit."""
-        bucket = self._set_for(trace.start_pc)
+        bucket = self._sets[(trace.start_pc >> 2) % self.num_sets]
         index = bucket.index(trace)
         if index:
             bucket.insert(0, bucket.pop(index))
@@ -109,12 +106,14 @@ class TraceReuseTable:
         (determinism makes the two copies identical, so the newer one
         adds nothing and would waste a way).
         """
-        bucket = self._set_for(trace.start_pc)
-        signature = trace.live_in_signature
+        start_pc = trace.start_pc
+        bucket = self._sets[(start_pc >> 2) % self.num_sets]
         for resident in bucket:
             if (
-                resident.start_pc == trace.start_pc
-                and resident.live_in_signature == signature
+                resident.start_pc == start_pc
+                and resident.reg_in == trace.reg_in
+                and resident.mem_in == trace.mem_in
+                and resident.hi_lo_in == trace.hi_lo_in
             ):
                 bucket.remove(resident)
                 self._unlink(resident)
@@ -125,10 +124,19 @@ class TraceReuseTable:
                 self._unlink(victim)
                 self.evictions += 1
         bucket.insert(0, trace)
-        self._by_pc.setdefault(trace.start_pc, []).insert(0, trace)
+        entries = self._by_pc.get(start_pc)
+        if entries is None:
+            self._by_pc[start_pc] = [trace]
+        else:
+            entries.insert(0, trace)
+        by_word = self._by_word
         for address, width, _raw in trace.mem_in:
             for word in range(address & ~3, address + width, 4):
-                self._by_word.setdefault(word, set()).add(trace)
+                linked = by_word.get(word)
+                if linked is None:
+                    by_word[word] = {trace}
+                else:
+                    linked.add(trace)
         self.installs += 1
 
     def invalidate_store(self, address: int, width: int) -> int:
@@ -144,7 +152,7 @@ class TraceReuseTable:
             if not linked:
                 continue
             for trace in tuple(linked):
-                bucket = self._set_for(trace.start_pc)
+                bucket = self._sets[(trace.start_pc >> 2) % self.num_sets]
                 try:
                     bucket.remove(trace)
                 except ValueError:

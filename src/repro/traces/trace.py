@@ -78,6 +78,58 @@ def boundary_kind(instr: Instruction) -> int:
     return BOUNDARY_NONE
 
 
+#: Control codes (slot 2 of :func:`trace_facts`): how a step feeds a
+#: builder's register live-ins and the analyzer's shadow registers.
+CTRL_PLAIN = 0
+CTRL_SYSCALL = 1
+CTRL_CALL = 2
+CTRL_RETURN = 3
+CTRL_MFHI = 4
+CTRL_MFLO = 5
+
+#: Memory codes (slot 3 of :func:`trace_facts`).
+MEM_NONE = 0
+MEM_LOAD = 1
+MEM_STORE = 2
+MEM_MULDIV = 3
+
+_KIND_TO_MEM = {Kind.LOAD: MEM_LOAD, Kind.STORE: MEM_STORE, Kind.MULDIV: MEM_MULDIV}
+
+#: ``(boundary, class, control, memory, width)``; see :func:`trace_facts`.
+Facts = Tuple[int, int, int, int, int]
+
+
+def trace_facts(instr: Instruction) -> Facts:
+    """Everything trace formation needs to know about a static instruction:
+    ``(boundary, class, control, memory, width)``.
+
+    ``boundary`` is :func:`boundary_kind`, ``class`` is :func:`class_of`,
+    ``control`` a ``CTRL_*`` code, ``memory`` a ``MEM_*`` code and
+    ``width`` the memory access width in bytes (0 if none).  The tuple
+    is fixed per static instruction, so drivers compute it once per
+    instruction, not once per retired step.
+    """
+    op = instr.op
+    kind = op.kind
+    if kind is Kind.SYSCALL:
+        control = CTRL_SYSCALL
+    elif kind is Kind.CALL:
+        control = CTRL_CALL
+    elif instr.is_return:
+        control = CTRL_RETURN
+    elif kind is Kind.MFHILO:
+        control = CTRL_MFHI if op.name == "mfhi" else CTRL_MFLO
+    else:
+        control = CTRL_PLAIN
+    return (
+        boundary_kind(instr),
+        class_of(instr),
+        control,
+        _KIND_TO_MEM.get(kind, MEM_NONE),
+        op.mem_width,
+    )
+
+
 class Trace:
     """One memoized trace and the live-ins that validate it.
 
@@ -114,11 +166,6 @@ class Trace:
         self.mem_in = mem_in
         self.hi_lo_in = hi_lo_in
         self.class_counts = class_counts
-
-    @property
-    def live_in_signature(self) -> tuple:
-        """Identity of this trace's validation condition (for dedup)."""
-        return (self.start_pc, self.reg_in, self.mem_in, self.hi_lo_in)
 
     def matches(self, regs, hi, lo) -> bool:
         """Would re-executing from ``start_pc`` reproduce this trace?

@@ -195,6 +195,8 @@ class TestMain:
                 "--trace-capacity/--trace-ways/--trace-max-len: "
                 "capacity must be a multiple of ways",
             ),
+            (["--workloads", "compress,"], "--workloads: empty name in 'compress,'"),
+            (["--workloads", "compress, nosuch"], "--workloads: unknown workload(s) nosuch ("),
         ],
     )
     def test_bad_option_values_exit_2(self, argv, message, capsys):
@@ -219,6 +221,12 @@ class TestMain:
         assert list(manifest["workloads"]) == ["compress"]
         golden = json.loads(GOLDEN_DIGESTS.read_text())["primary"]["compress"]
         assert manifest["workloads"]["compress"]["result_digest"] == golden
+
+    def test_workload_names_are_stripped(self, capsys):
+        code = main(["table2", "--workloads", "compress, li"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "compress" in out and "li" in out
 
     def test_runs_single_experiment_on_subset(self, capsys):
         code = main(["table2", "--workloads", "m88ksim"])

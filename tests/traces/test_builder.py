@@ -12,6 +12,7 @@ from repro.traces.builder import (
     TraceBuilder,
     step_next_pc,
 )
+from repro.isa.instructions import Kind
 from repro.traces.trace import (
     BOUNDARY_END,
     BOUNDARY_EXCLUDE,
@@ -20,8 +21,21 @@ from repro.traces.trace import (
     CLASS_BRANCH,
     CLASS_LOAD,
     CLASS_STORE,
+    CTRL_CALL,
+    CTRL_MFHI,
+    CTRL_MFLO,
+    CTRL_PLAIN,
+    CTRL_RETURN,
+    CTRL_SYSCALL,
+    MEM_LOAD,
+    MEM_MULDIV,
+    MEM_NONE,
+    MEM_STORE,
     boundary_kind,
+    class_of,
+    trace_facts,
 )
+from repro.workloads import WORKLOAD_ORDER, get_workload
 
 from tests.helpers import make_instruction, make_step
 
@@ -72,6 +86,36 @@ class TestBoundaries:
         assert boundary_kind(make_instruction("jalr", rd=31, rs=8)) == BOUNDARY_EXCLUDE
         assert boundary_kind(make_instruction("jr", rs=31)) == BOUNDARY_EXCLUDE
         assert boundary_kind(make_instruction("syscall")) == BOUNDARY_EXCLUDE
+
+
+class TestTraceFacts:
+    def test_facts_match_direct_derivation_on_every_workload(self):
+        """Every static instruction of the 8 workloads: the memoized facts
+        tuple says what the per-instruction helpers say."""
+        checked = 0
+        for name in WORKLOAD_ORDER:
+            for instr in get_workload(name).program().text:
+                boundary, cls, control, memory, width = trace_facts(instr)
+                op = instr.op
+                assert boundary == boundary_kind(instr), instr
+                assert cls == class_of(instr), instr
+                assert (control == CTRL_RETURN) == instr.is_return, instr
+                assert (control == CTRL_CALL) == instr.is_call, instr
+                assert (control == CTRL_SYSCALL) == (op.kind == Kind.SYSCALL), instr
+                assert (control == CTRL_MFHI) == (op.name == "mfhi"), instr
+                assert (control == CTRL_MFLO) == (op.name == "mflo"), instr
+                if control == CTRL_PLAIN:
+                    assert boundary != BOUNDARY_EXCLUDE, instr
+                expected_memory = (
+                    MEM_LOAD if instr.is_load
+                    else MEM_STORE if instr.is_store
+                    else MEM_MULDIV if op.kind == Kind.MULDIV
+                    else MEM_NONE
+                )
+                assert memory == expected_memory, instr
+                assert width == op.mem_width, instr
+                checked += 1
+        assert checked > 1000
 
 
 class TestStepNextPc:
