@@ -28,23 +28,6 @@ GEOMETRIES = [
 ]
 
 
-def run_geometry(workload, entries: int, associativity: int):
-    tracker = RepetitionTracker()
-    buffer = ReuseBuffer(entries, associativity)
-    simulator = Simulator(
-        workload.program(),
-        input_data=workload.primary_input(1),
-        analyzers=[tracker, buffer],
-    )
-    simulator.run()
-    report = buffer.report()
-    return (
-        report.hit_pct,
-        report.repeated_share_pct(tracker.dynamic_repeated),
-        report.invalidations,
-    )
-
-
 #: (capacity, ways, max_trace_len) points for the trace-table sweep.
 TRACE_GEOMETRIES = [
     (256, 4, 16),
@@ -56,18 +39,6 @@ TRACE_GEOMETRIES = [
 ]
 
 
-def run_trace_geometry(workload, capacity: int, ways: int, max_len: int):
-    analyzer = TraceReuseAnalyzer(capacity, ways, max_len)
-    simulator = Simulator(
-        workload.program(),
-        input_data=workload.primary_input(1),
-        analyzers=[analyzer],
-    )
-    simulator.run()
-    report = analyzer.report()
-    return report.coverage_pct, report.hit_rate_pct, report.mean_hit_length
-
-
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "li"
     if name not in WORKLOAD_ORDER:
@@ -75,22 +46,39 @@ def main() -> None:
         raise SystemExit(2)
     workload = get_workload(name)
 
+    # One simulation feeds every configuration: each buffer and trace
+    # table is an independent analyzer over the same instruction stream.
+    tracker = RepetitionTracker()
+    buffers = [ReuseBuffer(entries, ways) for entries, ways in GEOMETRIES]
+    tables = [TraceReuseAnalyzer(*geometry) for geometry in TRACE_GEOMETRIES]
+    Simulator(
+        workload.program(),
+        input_data=workload.primary_input(1),
+        analyzers=[tracker, *buffers, *tables],
+    ).run()
+
     print(f"reuse-buffer geometry sweep over '{name}':\n")
     print(f"{'geometry':>12}  {'% of all insns':>14}  {'% of repetition':>15}  {'invalidations':>13}")
-    for entries, associativity in GEOMETRIES:
-        hit, captured, invalidations = run_geometry(workload, entries, associativity)
+    for (entries, associativity), buffer in zip(GEOMETRIES, buffers):
+        report = buffer.report()
+        captured = report.repeated_share_pct(tracker.dynamic_repeated)
         label = f"{entries}x{associativity}"
         marker = "  <- paper" if (entries, associativity) == (8192, 4) else ""
-        print(f"{label:>12}  {hit:>13.1f}%  {captured:>14.1f}%  {invalidations:>13,}{marker}")
+        print(
+            f"{label:>12}  {report.hit_pct:>13.1f}%  {captured:>14.1f}%  "
+            f"{report.invalidations:>13,}{marker}"
+        )
 
     print(f"\ntrace-table geometry sweep over '{name}' (Table 10T):\n")
     print(f"{'geometry':>14}  {'coverage %':>10}  {'hit rate %':>10}  {'mean length':>11}")
-    for capacity, ways, max_len in TRACE_GEOMETRIES:
-        coverage, hit_rate, mean_len = run_trace_geometry(workload, capacity, ways, max_len)
+    for (capacity, ways, max_len), table in zip(TRACE_GEOMETRIES, tables):
+        report = table.report()
         label = f"{capacity}x{ways}/L{max_len}"
         marker = "  <- default" if (capacity, ways, max_len) == (1024, 4, 16) else ""
-        print(f"{label:>14}  {coverage:>9.1f}%  {hit_rate:>9.1f}%  {mean_len:>11.2f}{marker}")
-
+        print(
+            f"{label:>14}  {report.coverage_pct:>9.1f}%  {report.hit_rate_pct:>9.1f}%  "
+            f"{report.mean_hit_length:>11.2f}{marker}"
+        )
 
 if __name__ == "__main__":
     main()

@@ -8,7 +8,7 @@ accounts for a given fraction of the total.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def contributors_for_fraction(weights: Sequence[int], fraction: float) -> int:
@@ -30,45 +30,6 @@ def contributors_for_fraction(weights: Sequence[int], fraction: float) -> int:
         if covered >= target - 1e-9:
             return index
     return len(positive)
-
-
-def coverage_curve(
-    weights: Sequence[int], fractions: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """For each target coverage fraction, the fraction of contributors needed.
-
-    Returns ``[(coverage_fraction, contributor_fraction), ...]``.  This is
-    the transposed view used by Figure 1 ("X% of repeated static
-    instructions account for Y% of repetition").
-    """
-    positive = [w for w in weights if w > 0]
-    count = len(positive)
-    if count == 0:
-        return [(f, 0.0) for f in fractions]
-    return [
-        (f, contributors_for_fraction(positive, f) / count) for f in fractions
-    ]
-
-
-def cumulative_share_curve(
-    weights: Sequence[int], points: int = 100
-) -> List[Tuple[float, float]]:
-    """Sampled cumulative curve: top x% of contributors -> y% of weight."""
-    positive = sorted((w for w in weights if w > 0), reverse=True)
-    total = sum(positive)
-    if total == 0 or not positive:
-        return [(0.0, 0.0), (1.0, 0.0)]
-    curve: List[Tuple[float, float]] = []
-    covered = 0
-    next_sample = 1
-    for index, weight in enumerate(positive, start=1):
-        covered += weight
-        while index >= next_sample * len(positive) / points:
-            curve.append((index / len(positive), covered / total))
-            next_sample += 1
-    if not curve or curve[-1][0] < 1.0:
-        curve.append((1.0, 1.0))
-    return curve
 
 
 #: Figure 3's bucket boundaries for unique-repeatable-instance counts.

@@ -27,7 +27,6 @@ from repro.core.repetition import (
     RepetitionTracker,
 )
 from repro.core.reuse_buffer import ReuseBuffer, ReuseBufferReport
-from repro.core.slices import SliceRecorder, SliceReport
 from repro.core.value_prediction import (
     ContextPredictor,
     HybridPredictor,
@@ -56,8 +55,6 @@ __all__ = [
     "RepetitionTracker",
     "ReuseBuffer",
     "ReuseBufferReport",
-    "SliceRecorder",
-    "SliceReport",
     "StridePredictor",
     "ValuePredictionAnalyzer",
     "ValuePredictionReport",

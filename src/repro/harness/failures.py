@@ -226,9 +226,7 @@ class Watchdog:
     Uses the simulator's own pause mechanism: when the timer fires, the
     run stops at the next instruction boundary with ``stop_reason ==
     "paused"`` (analyzers are *not* finalized), and the runner converts
-    that into a :class:`WorkloadTimeout`.  The paused simulator could be
-    continued via ``resume(additional_limit=...)`` by callers that want
-    to grant a grace window instead of failing.
+    that into a :class:`WorkloadTimeout`.
     """
 
     def __init__(self, simulator, seconds: float) -> None:

@@ -148,7 +148,7 @@ OPCODES: "dict[str, OpcodeInfo]" = {
 }
 
 
-def _source_registers(op: OpcodeInfo, rs: int, rt: int) -> "tuple[int, ...]":
+def _sources_of(op: OpcodeInfo, rs: int, rt: int) -> "tuple[int, ...]":
     fmt = op.fmt
     if fmt in (Format.R3, Format.BR2, Format.MULDIV):
         return (rs, rt)
@@ -163,7 +163,7 @@ def _source_registers(op: OpcodeInfo, rs: int, rt: int) -> "tuple[int, ...]":
     return ()
 
 
-def _dest_register(op: OpcodeInfo, rd: int, rt: int) -> Optional[int]:
+def _dest_of(op: OpcodeInfo, rd: int, rt: int) -> Optional[int]:
     fmt = op.fmt
     kind = op.kind
     if fmt in (Format.R3, Format.R3_SHIFTV, Format.SHIFT, Format.MFHILO):
@@ -220,8 +220,8 @@ class Instruction:
         self.target = target
         self.addr = addr
         self.label = label
-        self.sources = _source_registers(op, rs, rt)
-        self.dest = _dest_register(op, rd, rt)
+        self.sources = _sources_of(op, rs, rt)
+        self.dest = _dest_of(op, rd, rt)
 
     @property
     def is_load(self) -> bool:
@@ -238,14 +238,6 @@ class Instruction:
     @property
     def is_return(self) -> bool:
         return self.op.kind == Kind.JUMP_REG and self.rs == RA
-
-    def source_registers(self) -> "tuple[int, ...]":
-        """Register indices this instruction reads, in operand order."""
-        return self.sources
-
-    def dest_register(self) -> Optional[int]:
-        """The general register this instruction writes, if any."""
-        return self.dest
 
     def disassemble(self) -> str:
         """Render the instruction back to assembly text."""

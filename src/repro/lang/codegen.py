@@ -54,6 +54,9 @@ _A_REGS = ("$a0", "$a1", "$a2", "$a3")
 #: signed 16-bit offset.
 _GP_WINDOW = GP_VALUE + 0x7FF0 - DATA_BASE
 
+#: Largest frame the epilogue's ``addiu $sp, $sp, size`` can pop.
+_MAX_FRAME = 0x7FFF
+
 
 @dataclass
 class _Entry:
@@ -346,6 +349,12 @@ class _FunctionEmitter:
         self.saved_base = stack_offset
         saved_bytes = 4 * len(self.used_sregs) + (0 if leaf else 4)
         self.frame_size = _align(stack_offset + saved_bytes, 8)
+        if self.frame_size > _MAX_FRAME:
+            raise CodegenError(
+                f"stack frame of {self.func.name}() is {self.frame_size} bytes; "
+                f"the limit is {_MAX_FRAME} (16-bit addiu offset)",
+                self.func.line,
+            )
         self.leaf = leaf
 
     def _sreg_save_offset(self, ordinal: int) -> int:

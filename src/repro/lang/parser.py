@@ -126,7 +126,13 @@ class Parser:
             if self.accept_op("*"):
                 value *= self._const_factor()
             elif self.accept_op("/"):
-                value //= self._const_factor()
+                token = self.peek()
+                divisor = self._const_factor()
+                if divisor == 0:
+                    raise self.error("division by zero in constant expression", token)
+                # C truncates toward zero, as the machine's div does.
+                quotient = abs(value) // abs(divisor)
+                value = quotient if (value < 0) == (divisor < 0) else -quotient
             else:
                 return value
 
@@ -141,6 +147,14 @@ class Parser:
         if token.kind in (TokenKind.NUMBER, TokenKind.CHAR):
             return int(token.value)  # type: ignore[arg-type]
         raise self.error("expected constant expression", token)
+
+    def _array_length(self) -> int:
+        token = self.peek()
+        length = self.parse_const_expr()
+        if length < 1:
+            raise self.error(f"array length must be at least 1, got {length}", token)
+        self.expect_op("]")
+        return length
 
     # -- top level ----------------------------------------------------------
 
@@ -161,9 +175,7 @@ class Parser:
     def _parse_global(self, line: int, base: Type, name: str) -> ast.GlobalDecl:
         declared: Type = base
         if self.accept_op("["):
-            length = self.parse_const_expr()
-            self.expect_op("]")
-            declared = ArrayType(base, length)
+            declared = ArrayType(base, self._array_length())
         init: Optional[ast.Initializer] = None
         if self.accept_op("="):
             token = self.peek()
@@ -336,9 +348,7 @@ class Parser:
         name = self.expect_ident().text
         declared: Type = base
         if self.accept_op("["):
-            length = self.parse_const_expr()
-            self.expect_op("]")
-            declared = ArrayType(base, length)
+            declared = ArrayType(base, self._array_length())
         init = self.parse_expression() if self.accept_op("=") else None
         self.expect_op(";")
         return ast.VarDecl(line, name, declared, init)

@@ -6,7 +6,6 @@ syscall events to attached :class:`Analyzer` objects — the instrumentation
 backend that the paper built on SimpleScalar.
 """
 
-from repro.sim.debug import Debugger, DebugStop
 from repro.sim.errors import SimError
 from repro.sim.events import CallEvent, ReturnEvent, StepRecord, SyscallEvent
 from repro.sim.memory import Memory
@@ -20,14 +19,11 @@ from repro.sim.simulator import (
 )
 from repro.sim.syscalls import EOF_WORD, InputStream, SyscallHandler
 from repro.sim.timing import TimingConfig, TimingModel, TimingReport
-from repro.sim.trace import Trace, TraceRecorder
 
 __all__ = [
     "Analyzer",
     "CallEvent",
     "DEFAULT_ENGINE",
-    "DebugStop",
-    "Debugger",
     "ENGINES",
     "EOF_WORD",
     "HALT_ADDRESS",
@@ -43,6 +39,4 @@ __all__ = [
     "TimingConfig",
     "TimingModel",
     "TimingReport",
-    "Trace",
-    "TraceRecorder",
 ]

@@ -115,7 +115,6 @@ class Simulator:
         self._analyzers: List[Analyzer] = list(analyzers)
         self._engine = engine
         self._started = False
-        self._paused = False
         self._pause_requested = False
         self._total = 0
         self._analyzed = 0
@@ -143,15 +142,11 @@ class Simulator:
     def output(self) -> str:
         return self.syscalls.output_text()
 
-    @property
-    def paused(self) -> bool:
-        return self._paused
-
     def request_pause(self) -> None:
         """Ask the simulator to stop at the next instruction boundary.
 
-        Callable from analyzer hooks (the basis for breakpoints and
-        watchpoints); resume with :meth:`resume`.
+        Callable from analyzer hooks or another thread (the serial
+        watchdog); the run ends with ``stop_reason == "paused"``.
         """
         self._pause_requested = True
 
@@ -194,12 +189,12 @@ class Simulator:
         only); then up to ``limit`` instructions are executed with full
         step records (``limit=None`` runs to completion).
 
-        If an analyzer calls :meth:`request_pause`, execution stops at the
-        next instruction boundary with ``stop_reason == "paused"`` and can
-        be continued with :meth:`resume`.
+        If :meth:`request_pause` is called, execution stops at the next
+        instruction boundary with ``stop_reason == "paused"``; analyzers
+        are then not finalized (``on_finish`` is not called).
         """
         if self._started:
-            raise SimError("Simulator.run() may only be called once; use resume()")
+            raise SimError("Simulator.run() may only be called once")
         self._started = True
         self._limit = limit
         self._skip = skip
@@ -220,26 +215,6 @@ class Simulator:
             analyzer.on_start(program)
         # Program entry is modelled as a call so the call stack is rooted.
         self._emit_call(self.pc, self.pc, HALT_ADDRESS, warmup=skip > 0)
-        return self._execute()
-
-    def resume(self, additional_limit: Optional[int] = None) -> RunResult:
-        """Continue a paused simulation (optionally extending the limit).
-
-        ``additional_limit`` extends the analysis window by that many
-        instructions.  If the original run had an explicit ``limit``, the
-        new limit is ``limit + additional_limit``; if it was unlimited
-        (``limit=None``), the extension anchors at the number of
-        instructions analyzed so far, i.e. the resumed run executes at
-        most ``additional_limit`` further analyzed instructions and the
-        simulation is no longer unlimited.  Without ``additional_limit``
-        the original window (limited or not) simply continues.
-        """
-        if not self._paused:
-            raise SimError("resume() requires a paused simulation")
-        self._paused = False
-        if additional_limit is not None:
-            anchor = self._analyzed if self._limit is None else self._limit
-            self._limit = anchor + additional_limit
         return self._execute()
 
     def _execute(self) -> RunResult:
@@ -268,9 +243,7 @@ class Simulator:
         return self._finish_run(stop)
 
     def _finish_run(self, stop_reason: str) -> RunResult:
-        if stop_reason == "paused":
-            self._paused = True
-        else:
+        if stop_reason != "paused":
             for analyzer in self._analyzers:
                 analyzer.on_finish()
         syscalls = self.syscalls

@@ -54,7 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 @quiet_broken_pipe
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.limit is not None and args.limit < 0:
+        parser.error(f"--limit must be >= 0, got {args.limit}")
 
     if args.source == "-":
         source = sys.stdin.read()

@@ -109,12 +109,6 @@ class TraceReuseReport:
     def mean_hit_length(self) -> float:
         return self.covered_instructions / self.hits if self.hits else 0.0
 
-    @property
-    def mean_recorded_length(self) -> float:
-        if not self.traces_recorded:
-            return 0.0
-        return self.recorded_length_total / self.traces_recorded
-
     def class_coverage_pct(self, name: str) -> float:
         """% of trace-covered instructions in class ``name``."""
         if not self.covered_instructions:

@@ -11,8 +11,6 @@ from repro.analysis.coverage import (
     bucket_label,
     bucket_shares,
     contributors_for_fraction,
-    coverage_curve,
-    cumulative_share_curve,
 )
 
 weights = st.lists(st.integers(min_value=0, max_value=1000), max_size=50)
@@ -54,30 +52,6 @@ class TestContributorsForFraction:
         needed = contributors_for_fraction(values, 0.75)
         top = sorted((v for v in values if v > 0), reverse=True)[:needed]
         assert sum(top) >= 0.75 * sum(values) - 1e-6
-
-
-class TestCoverageCurve:
-    def test_basic_shape(self):
-        curve = coverage_curve([90, 5, 5], [0.5, 0.9, 1.0])
-        assert curve[0] == (0.5, pytest.approx(1 / 3))
-        assert curve[2] == (1.0, pytest.approx(1.0))
-
-    def test_empty(self):
-        assert coverage_curve([], [0.5]) == [(0.5, 0.0)]
-
-
-class TestCumulativeShareCurve:
-    def test_endpoints(self):
-        curve = cumulative_share_curve([10, 5, 1], points=10)
-        assert curve[-1] == (1.0, 1.0)
-
-    @given(weights.filter(lambda v: sum(v) > 0))
-    def test_monotone(self, values):
-        curve = cumulative_share_curve(values, points=20)
-        xs = [x for x, _ in curve]
-        ys = [y for _, y in curve]
-        assert xs == sorted(xs)
-        assert ys == sorted(ys)
 
 
 class TestBuckets:

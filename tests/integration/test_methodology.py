@@ -1,8 +1,8 @@
 """Methodology-level integration tests.
 
 These validate the experimental machinery itself: the paper's
-skip-then-measure window, scaling behaviour, trace record/replay
-equivalence on a full workload, and determinism of the whole pipeline.
+skip-then-measure window, scaling behaviour, and determinism of the
+whole pipeline.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import RepetitionTracker
 from repro.harness import SuiteConfig, run_workload
-from repro.sim import Simulator, Trace, TraceRecorder
+from repro.sim import Simulator
 from repro.workloads import get_workload
 
 
@@ -67,47 +67,6 @@ class TestScaling:
             small.repetition.dynamic_repeated_pct
             - large.repetition.dynamic_repeated_pct
         ) < 15.0
-
-
-class TestTraceEquivalence:
-    def test_workload_trace_replay_matches_live(self):
-        """Record once, replay into a fresh tracker: identical totals."""
-        workload = get_workload("compress")
-        data = workload.primary_input(1)
-
-        recorder = TraceRecorder()
-        live = RepetitionTracker()
-        Simulator(
-            workload.program(), input_data=data, analyzers=[recorder, live]
-        ).run(limit=40_000)
-
-        replayed = RepetitionTracker()
-        recorder.trace().replay([replayed])
-        assert replayed.dynamic_total == live.dynamic_total
-        assert replayed.dynamic_repeated == live.dynamic_repeated
-        assert (
-            replayed.report().unique_repeatable_instances
-            == live.report().unique_repeatable_instances
-        )
-
-    def test_trace_serialization_on_workload(self, tmp_path):
-        import io
-
-        workload = get_workload("li")
-        recorder = TraceRecorder()
-        program = workload.program()
-        Simulator(
-            program, input_data=workload.primary_input(1), analyzers=[recorder]
-        ).run(limit=20_000)
-        trace = recorder.trace()
-        buffer = io.BytesIO()
-        trace.save(buffer)
-        buffer.seek(0)
-        loaded = Trace.load(buffer, program)
-        a, b = RepetitionTracker(), RepetitionTracker()
-        trace.replay([a])
-        loaded.replay([b])
-        assert a.dynamic_repeated == b.dynamic_repeated
 
 
 class TestDeterminism:

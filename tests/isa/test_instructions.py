@@ -44,29 +44,29 @@ class TestInstructionProperties:
 
     def test_source_registers_r3(self):
         instr = Instruction(OPCODES["addu"], rd=T0, rs=T1, rt=T2)
-        assert instr.source_registers() == (T1, T2)
-        assert instr.dest_register() == T0
+        assert instr.sources == (T1, T2)
+        assert instr.dest == T0
 
     def test_source_registers_store_includes_data(self):
         instr = Instruction(OPCODES["sw"], rt=T0, rs=T1, imm=4)
-        assert instr.source_registers() == (T0, T1)
-        assert instr.dest_register() is None
+        assert instr.sources == (T0, T1)
+        assert instr.dest is None
 
     def test_load_dest(self):
         instr = Instruction(OPCODES["lw"], rt=T0, rs=T1, imm=0)
-        assert instr.source_registers() == (T1,)
-        assert instr.dest_register() == T0
+        assert instr.sources == (T1,)
+        assert instr.dest == T0
 
     def test_jal_writes_ra(self):
-        assert Instruction(OPCODES["jal"], target=0x400000).dest_register() == RA
+        assert Instruction(OPCODES["jal"], target=0x400000).dest == RA
 
     def test_shift_sources(self):
         instr = Instruction(OPCODES["sll"], rd=T0, rt=T1, shamt=2)
-        assert instr.source_registers() == (T1,)
+        assert instr.sources == (T1,)
 
     def test_variable_shift_operand_order(self):
         instr = Instruction(OPCODES["sllv"], rd=T0, rt=T1, rs=T2)
-        assert instr.source_registers() == (T1, T2)
+        assert instr.sources == (T1, T2)
 
 
 class TestDisassembly:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.lang import compile_to_assembly
+from repro.lang.errors import CodegenError
 from tests.helpers import eval_expr, minic_output
 
 
@@ -455,3 +457,24 @@ int main() {
 }
 """
         assert minic_output(source) == "4302\n"
+
+
+class TestFrameLimit:
+    def test_largest_frame_runs_and_next_is_rejected(self):
+        # The epilogue pops the frame with `addiu $sp, $sp, size`, whose
+        # immediate is signed 16-bit: 8150 words plus spill slots and $ra
+        # fit, 8160 words do not.
+        fits = "int main() { int a[8150]; a[8149] = 7; print_int(a[8149]); return 0; }"
+        assert minic_output(fits) == "7"
+        with pytest.raises(CodegenError, match=r"stack frame of main\(\) is 32768 bytes"):
+            compile_to_assembly("int main() { int a[8160]; return 0; }")
+
+    @pytest.mark.parametrize(
+        "locals_",
+        ["int a[10000]; a[5] = 1;", "".join(f"int v{i} = {i}; " for i in range(9000))],
+        ids=["array", "9000-scalars"],
+    )
+    def test_oversized_frame_is_a_codegen_error(self, locals_):
+        source = f"int main() {{ {locals_} return 0; }}"
+        with pytest.raises(CodegenError, match=r"stack frame of main\(\) is \d+ bytes"):
+            compile_to_assembly(source)

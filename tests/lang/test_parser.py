@@ -30,6 +30,13 @@ class TestTopLevel:
         unit = parse("int a[4 * 8]; int main() { return 0; }")
         assert unit.globals[0].declared_type.length == 32
 
+    def test_const_division_truncates_toward_zero(self):
+        # C semantics, matching the machine's div and the optimizer's folding.
+        cases = {"-7/2": -3, "7/-2": -3, "-7/-2": 3, "7/2": 3, "-1/2": 0, "(0-9)/4*2": -4}
+        for expr, value in cases.items():
+            unit = parse(f"int g = {expr}; int main() {{ return 0; }}")
+            assert unit.globals[0].init == value, expr
+
     def test_pointer_types(self):
         unit = parse("int **pp; int main() { return 0; }")
         assert unit.globals[0].declared_type == PointerType(PointerType(INT))
@@ -168,6 +175,33 @@ class TestErrors:
     )
     def test_rejected(self, source):
         with pytest.raises(ParseError):
+            parse(source)
+
+    @pytest.mark.parametrize(
+        "source,column",
+        [
+            ("int x = 1/0; int main() { return 0; }", 11),
+            ("int x = 4/(2-2); int main() { return 0; }", 11),
+            ("int main() { int a[8/0]; return 0; }", 22),
+        ],
+    )
+    def test_const_division_by_zero(self, source, column):
+        with pytest.raises(ParseError, match="division by zero") as info:
+            parse(source)
+        assert (info.value.line, info.value.column) == (1, column)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "int a[-1]; int main() { return 0; }",
+            "int z[0]; int main() { return 0; }",
+            "int z[2-2]; int main() { return 0; }",
+            "int main() { int a[-1]; a[0] = 5; return 0; }",
+            "int main() { int z[0]; return 0; }",
+        ],
+    )
+    def test_array_length_below_one(self, source):
+        with pytest.raises(ParseError, match="array length must be at least 1"):
             parse(source)
 
     def test_unterminated_block(self):

@@ -397,3 +397,59 @@ main:   li $t0, 0x00400100
         simulator.run()
         with pytest.raises(SimError):
             simulator.attach(_Recorder())
+
+
+ENGINES = ("predecoded", "interpreter")
+
+LOOP_PROGRAM = """
+        .ent main, 0
+main:   b main
+        .end main
+"""
+
+
+class _PauseAt(_Recorder):
+    """Requests a pause when the ``index``-th analyzed step arrives."""
+
+    def __init__(self, index):
+        super().__init__()
+        self.index = index
+        self.simulator = None
+        self.finished = False
+
+    def on_step(self, record):
+        super().on_step(record)
+        if record.index == self.index:
+            self.simulator.request_pause()
+
+    def on_finish(self):
+        self.finished = True
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestRunBoundaries:
+    def test_limit_zero_analyzes_nothing(self, engine):
+        # limit=0 is a real limit, not "unlimited": with and without a
+        # step observer (the predecoded engine's two execution loops).
+        bare = Simulator(assemble(LOOP_PROGRAM), engine=engine).run(limit=0)
+        assert bare.stop_reason == "limit"
+        assert bare.analyzed_instructions == 0
+        recorder = _Recorder()
+        observed = Simulator(
+            assemble(LOOP_PROGRAM), analyzers=[recorder], engine=engine
+        ).run(limit=0)
+        assert observed.stop_reason == "limit"
+        assert observed.analyzed_instructions == 0
+        assert recorder.steps == []
+
+    def test_request_pause_stops_at_requested_index(self, engine):
+        # The serial watchdog relies on this: a pause ends the run at the
+        # next instruction boundary and leaves analyzers unfinalized.
+        hook = _PauseAt(50)
+        simulator = Simulator(assemble(LOOP_PROGRAM), analyzers=[hook], engine=engine)
+        hook.simulator = simulator
+        result = simulator.run(limit=1000)
+        assert result.stop_reason == "paused"
+        assert result.analyzed_instructions == 50
+        assert hook.steps[-1].index == 50
+        assert not hook.finished

@@ -59,6 +59,32 @@ class TestCompileOnly:
         assert main(["/nonexistent.mc"]) == 1
         assert "repro-cc:" in capsys.readouterr().err
 
+    def test_const_division_truncates(self, tmp_path, capsys):
+        src = tmp_path / "div.mc"
+        src.write_text(
+            "int g = -7/2; int h = -1/2;\n"
+            "int main() { int n = -7; print_int(g); putchar(' '); print_int(h);"
+            " putchar(' '); print_int(n / 2); return 0; }"
+        )
+        assert main([str(src), "--run"]) == 0
+        assert capsys.readouterr().out == "-3 0 -3"
+
+    def test_const_division_by_zero_reported(self, tmp_path, capsys):
+        src = tmp_path / "div0.mc"
+        src.write_text("int x = 1/0;\nint main() { return x; }")
+        assert main([str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "1:11: division by zero in constant expression" in err
+
+    def test_oversized_frame_reported(self, tmp_path, capsys):
+        src = tmp_path / "big.mc"
+        src.write_text("int main() { int a[10000]; a[5] = 1; return a[5]; }")
+        assert main([str(src), "--run"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "stack frame of main() is 40128 bytes" in err
+
     def test_compile_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.mc"
         bad.write_text("int main() { undeclared = 1; }")
@@ -106,3 +132,11 @@ class TestRun:
         src.write_text("int main() { while (1) { } return 0; }")
         assert main([str(src), "--run", "--limit", "500"]) == 0
         assert "stop=limit" in capsys.readouterr().err
+
+    def test_negative_limit_rejected(self, hello_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([hello_file, "--run", "--limit", "-5"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--limit must be >= 0" in captured.err
+        assert captured.out == ""
