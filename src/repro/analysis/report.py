@@ -48,13 +48,12 @@ def build_markdown_report(
         lines.append("")
         lines.append("## Failures")
         lines.append("")
-        lines.append("| workload | kind | engine | attempts | injected | message |")
-        lines.append("| --- | --- | --- | --- | --- | --- |")
+        lines.append("| workload | kind | engine | attempts | message |")
+        lines.append("| --- | --- | --- | --- | --- |")
         for name, record in failures.items():
             lines.append(
                 f"| {name} | {record.kind} | {record.engine} "
-                f"| {record.attempts} | {'yes' if record.injected else 'no'} "
-                f"| {record.message} |"
+                f"| {record.attempts} | {record.message} |"
             )
         lines.append("")
     for exp_id in ids:

@@ -1,8 +1,5 @@
 """Experiment harness: suite runner, per-table/figure registry, CLI."""
 
-# faults/failures first: cache and runner import them at module load,
-# so they must be fully initialized before the rest of the package.
-from repro.harness.faults import FaultInjected, FaultPlan
 from repro.harness.failures import (
     FailureRecord,
     SuiteReport,
@@ -28,8 +25,6 @@ __all__ = [
     "EXPERIMENT_ORDER",
     "Experiment",
     "FailureRecord",
-    "FaultInjected",
-    "FaultPlan",
     "ResultCache",
     "SuiteConfig",
     "SuiteReport",

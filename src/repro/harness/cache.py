@@ -29,8 +29,6 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from repro.harness import faults as _faults
-
 logger = logging.getLogger("repro.harness.cache")
 
 #: Bump when WorkloadResult / report layouts change incompatibly.
@@ -39,8 +37,9 @@ logger = logging.getLogger("repro.harness.cache")
 #: v3: WorkloadResult gained the trace_reuse report (Table 10T) and
 #: SuiteConfig the trace-table geometry knobs.
 #: v4: RunManifest gained recovery provenance (degraded / attempts /
-#: failures) and SuiteConfig the fault_plan knob — degraded or faulted
-#: results must never be served against pre-recovery keys.
+#: failures) and SuiteConfig a fault-injection knob (since removed) —
+#: degraded or faulted results must never be served against
+#: pre-recovery keys.
 #: v5: RunManifest lost its engine-fallback fields (the runner never
 #: substitutes an engine any more).
 CACHE_FORMAT_VERSION = 5
@@ -117,18 +116,15 @@ class ResultCache:
     def store(self, workload_name: str, config: object, result: object) -> None:
         """Atomically persist ``result`` (temp file + ``os.replace``).
 
-        A writer killed at any point — including via the
-        ``cache.torn_write`` fault site, which aborts after the pickle
-        but before the rename — leaves either the previous entry or no
-        entry, never a torn one.
+        A writer killed or failing at any point — say, an ``fsync`` that
+        raises after the pickle but before the rename — leaves either the
+        previous entry or no entry, never a torn one.
         """
         path = self.path_for(workload_name, config)
         fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
                 pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
-                if _faults.armed():
-                    _faults.check("cache.torn_write", workload_name)
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp_name, path)
@@ -138,11 +134,6 @@ class ResultCache:
             except OSError:
                 pass
             raise
-        if _faults.armed() and _faults.should_fire("cache.corrupt", workload_name):
-            # Simulate on-disk rot: scribble over the committed entry so
-            # the next load takes the corrupt-eviction path.
-            data = path.read_bytes()
-            path.write_bytes(data[: max(1, len(data) // 2)] + b"\xde\xad")
 
     def clear(self) -> None:
         """Remove every cached entry (leaves the directory in place)."""

@@ -24,7 +24,6 @@ from repro.core.repetition import RepetitionTracker
 from repro.core.reuse_buffer import ReuseBuffer
 from repro.harness.cache import source_digest
 from repro.harness.experiments import EXPERIMENT_ORDER, EXPERIMENTS
-from repro.harness.faults import FaultPlan
 from repro.harness.runner import SuiteConfig, run_suite, set_cache_dir
 from repro.obs import manifest as obs_manifest
 from repro.tools import quiet_broken_pipe
@@ -134,13 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-workload wall-clock budget in seconds (default: none)",
     )
-    parser.add_argument(
-        "--faults",
-        metavar="PLAN",
-        default=None,
-        help="fault-injection plan, e.g. 'worker.crash:go' "
-        "(see repro.harness.faults)",
-    )
     return parser
 
 
@@ -170,11 +162,6 @@ def _validate(
         parser.error(f"--jobs must be a positive integer, got {args.jobs}")
     if args.timeout_s is not None and not args.timeout_s > 0:
         parser.error(f"--timeout-s must be positive, got {args.timeout_s:g}")
-    if args.faults is not None:
-        try:
-            FaultPlan.parse(args.faults)
-        except ValueError as exc:
-            parser.error(f"--faults: {exc}")
     try:
         config = SuiteConfig(
             scale=args.scale,
@@ -186,7 +173,6 @@ def _validate(
             trace_capacity=args.trace_capacity,
             trace_ways=args.trace_ways,
             trace_max_len=args.trace_max_len,
-            fault_plan=args.faults,
         )
     except ValueError as exc:
         parser.error(f"--scale: {exc}")
@@ -249,9 +235,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, record in failures.items():
             print(
                 f"{name:10s} {record.kind:13s} attempts={record.attempts} "
-                f"engine={record.engine}"
-                + (" [injected]" if record.injected else "")
-                + f" — {record.message}"
+                f"engine={record.engine} — {record.message}"
             )
         print()
     for exp_id in exp_ids:

@@ -31,7 +31,7 @@ import time
 import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.asm.errors import AsmError
 from repro.lang.errors import MiniCError
@@ -44,14 +44,6 @@ KIND_SIM_TRAP = "sim-trap"
 KIND_WORKER_CRASH = "worker-crash"
 KIND_TIMEOUT = "timeout"
 KIND_UNKNOWN = "unknown"
-
-FAILURE_KINDS = (
-    KIND_COMPILE,
-    KIND_SIM_TRAP,
-    KIND_WORKER_CRASH,
-    KIND_TIMEOUT,
-    KIND_UNKNOWN,
-)
 
 
 class WorkloadTimeout(Exception):
@@ -89,7 +81,6 @@ class FailureRecord:
     #: Short SHA-256 over the formatted traceback — lets repeated
     #: failures be grouped without shipping whole tracebacks around.
     traceback_digest: str = ""
-    injected: bool = False
     when: float = field(default_factory=time.time)
 
     @property
@@ -126,7 +117,6 @@ def classify_failure(
         message=str(exc) or type(exc).__name__,
         exception_type=type(exc).__name__,
         traceback_digest=hashlib.sha256(formatted.encode()).hexdigest()[:12],
-        injected=bool(getattr(exc, "injected", False)),
     )
 
 
@@ -134,37 +124,20 @@ def classify_failure(
 
 
 class SuiteReport(Dict[str, "WorkloadResult"]):  # noqa: F821 (typing only)
-    """Suite results plus the failure ledger.
+    """Suite results plus the terminal failures.
 
     A ``dict`` subclass so every existing consumer (experiment renders,
     markdown reports, tests) keeps working unchanged: the mapping holds
     the *surviving* ``WorkloadResult`` objects in suite order, while
     ``failures`` carries the terminal :class:`FailureRecord` per failed
-    workload and ``history`` every failed attempt (including recovered
-    ones).
+    workload.  Attempts that failed before a retry succeeded are in
+    that result's manifest ``failures``.
     """
 
     def __init__(self, config=None) -> None:
         super().__init__()
         self.config = config
         self.failures: Dict[str, FailureRecord] = {}
-        self.history: List[FailureRecord] = []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.failures)
-
-    def summary(self) -> str:
-        parts = [f"{len(self)} ok"]
-        if self.failures:
-            parts.append(f"{len(self.failures)} failed")
-        if len(self.history) > len(self.failures):
-            parts.append(f"{len(self.history)} failed attempts")
-        return ", ".join(parts)
 
 
 def _canonical(obj):

@@ -39,7 +39,7 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.harness import faults, runner
+from repro.harness import runner
 from repro.harness.failures import (
     FailureRecord,
     SuiteReport,
@@ -64,24 +64,14 @@ def _run_one(
     attempt: int,
     timeout_s: Optional[float],
 ) -> WorkloadResult:
-    """Worker entry point: simulate one workload in a fresh process.
+    """Worker entry point: simulate one workload in a pool process.
 
-    Worker processes are reused by the pool (and inherit parent state
-    under fork), so the fault plan is re-installed per task: worker-site
-    specs fire per attempt — a ``worker.crash:<name>`` keeps crashing on
-    retry, while ``worker.crash:<name>@1`` recovers on the second round.
+    ``attempt`` is the round (1 for the first run); it travels with the
+    task but does not change what the worker computes.
     """
     if cache_dir is not None:
         runner.set_cache_dir(cache_dir)
-    faults.install_plan(faults.resolve_plan(config.fault_plan))
-    try:
-        with faults.scope(workload=name, attempt=attempt):
-            if faults.armed():
-                faults.check("worker.crash", name)
-                faults.check("worker.hang", name)
-            return runner.run_workload(get_workload(name), config, deadline_s=timeout_s)
-    finally:
-        faults.install_plan(None)
+    return runner.run_workload(get_workload(name), config, deadline_s=timeout_s)
 
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -255,17 +245,15 @@ def run_suite_parallel(
             record = classify_failure(
                 payload, workload=name, engine=config.engine, attempt=attempt
             )
-            histories.setdefault(name, []).append(record)
             if strict:
                 raise payload
             if status == "lost" and attempt < MAX_ATTEMPTS:
+                histories.setdefault(name, []).append(record)
                 lost.append(name)
             else:
                 report.failures[name] = record
         pending = lost
 
-    for history in histories.values():
-        report.history.extend(history)
     for name in selected:
         if name in results:
             report[name] = results[name]

@@ -29,7 +29,6 @@ from repro.core.local_analysis import LocalAnalysisReport, LocalAnalyzer
 from repro.core.repetition import RepetitionReport, RepetitionTracker
 from repro.core.reuse_buffer import ReuseBuffer, ReuseBufferReport
 from repro.core.value_profile import GlobalLoadValueProfiler, ValueProfileReport
-from repro.harness import faults
 from repro.harness.cache import ResultCache, default_cache_dir, source_digest
 from repro.harness.failures import (
     SuiteReport,
@@ -67,10 +66,6 @@ class SuiteConfig:
     trace_capacity: int = 1024
     trace_ways: int = 4
     trace_max_len: int = 16
-    #: Fault-injection plan (spec string, see :mod:`repro.harness.faults`).
-    #: Part of the config — and therefore the cache key — on purpose:
-    #: faulted runs can never serve or poison clean cache entries.
-    fault_plan: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scale < 1:
@@ -158,8 +153,8 @@ def install_result(
 ) -> None:
     """Install an externally computed result into the cache layers.
 
-    A failed disk store (full disk, permissions, an injected torn
-    write) never loses the computed result: the in-memory layer already
+    A failed disk store (full disk, permissions, a failed ``fsync``)
+    never loses the computed result: the in-memory layer already
     holds it, so the error is logged, not raised.
     """
     _CACHE[(result.workload.name, config)] = result
@@ -190,18 +185,9 @@ def run_workload(
     cached = cached_result(workload, config)
     if cached is not None:
         return cached
-    with faults.armed_plan(config.fault_plan), faults.scope(workload=workload.name):
-        return _compute_workload(workload, config, deadline_s)
-
-
-def _compute_workload(
-    workload: Workload, config: SuiteConfig, deadline_s: Optional[float]
-) -> WorkloadResult:
     started = time.perf_counter()
     timing: Dict[str, float] = {}
 
-    if faults.armed():
-        faults.check("asm.error", workload.name)
     program = workload.program()
     timing["assemble"] = time.perf_counter() - started
 
@@ -290,7 +276,7 @@ def run_suite(
     (:func:`~repro.harness.parallel.run_suite_parallel`).
 
     The return value is a :class:`SuiteReport` — a dict of surviving
-    ``WorkloadResult`` in suite order, plus ``failures``/``history``.
+    ``WorkloadResult`` in suite order, plus ``failures``.
     ``strict`` (the default) raises the first error; ``strict=False``
     records it and keeps going.  ``timeout_s`` is the per-workload
     wall-clock budget.  A serial run makes exactly one attempt per
@@ -306,18 +292,15 @@ def run_suite(
             config, selected, jobs, strict=strict, timeout_s=timeout_s
         )
     report = SuiteReport(config=config)
-    with faults.armed_plan(config.fault_plan):
-        for name in selected:
-            workload = get_workload(name)
-            try:
-                with faults.scope(workload=name, attempt=1):
-                    report[name] = run_workload(workload, config, deadline_s=timeout_s)
-            except Exception as exc:
-                if strict:
-                    raise
-                record = classify_failure(exc, workload=name, engine=config.engine)
-                report.history.append(record)
-                report.failures[name] = record
+    for name in selected:
+        try:
+            report[name] = run_workload(get_workload(name), config, deadline_s=timeout_s)
+        except Exception as exc:
+            if strict:
+                raise
+            report.failures[name] = classify_failure(
+                exc, workload=name, engine=config.engine
+            )
     return report
 
 

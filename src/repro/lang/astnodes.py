@@ -1,8 +1,9 @@
 """AST node definitions for MiniC.
 
-Nodes carry a ``line`` for diagnostics.  Expression nodes gain a ``ctype``
-attribute during semantic analysis; identifier references gain a ``symbol``
-binding to the :class:`~repro.lang.sema.Symbol` they resolve to.
+Nodes carry a ``line`` and a ``column`` (set by the parser) for diagnostics.
+Expression nodes gain a ``ctype`` attribute during semantic analysis;
+identifier references gain a ``symbol`` binding to the
+:class:`~repro.lang.sema.Symbol` they resolve to.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from repro.lang.types import Type
 @dataclass
 class Expr:
     line: int
+    #: 1-based column of the token the node starts at (0 = unknown).
+    column: int = field(default=0, init=False, compare=False, repr=False)
     #: Filled in by semantic analysis.
     ctype: Optional[Type] = field(default=None, init=False, repr=False)
 
@@ -113,6 +116,8 @@ class Conditional(Expr):
 @dataclass
 class Stmt:
     line: int
+    #: 1-based column of the token the node starts at (0 = unknown).
+    column: int = field(default=0, init=False, compare=False, repr=False)
 
 
 @dataclass
@@ -157,6 +162,8 @@ class SwitchCase:
     """One case arm: labels (constants; None = default) + its body."""
 
     line: int
+    #: 1-based column of the token the node starts at (0 = unknown).
+    column: int = field(default=0, init=False, compare=False, repr=False)
     values: List[int] = field(default_factory=list)
     is_default: bool = False
     body: List["Stmt"] = field(default_factory=list)
@@ -203,6 +210,8 @@ Initializer = Union[int, str, List[int]]
 @dataclass
 class GlobalDecl:
     line: int
+    #: 1-based column of the token the node starts at (0 = unknown).
+    column: int = field(default=0, init=False, compare=False, repr=False)
     name: str = ""
     declared_type: Type = None  # type: ignore[assignment]
     #: A constant scalar, a string, or a flat list of constants.
@@ -212,6 +221,8 @@ class GlobalDecl:
 @dataclass
 class Param:
     line: int
+    #: 1-based column of the token the node starts at (0 = unknown).
+    column: int = field(default=0, init=False, compare=False, repr=False)
     name: str = ""
     declared_type: Type = None  # type: ignore[assignment]
 
@@ -219,6 +230,8 @@ class Param:
 @dataclass
 class FunctionDef:
     line: int
+    #: 1-based column of the token the node starts at (0 = unknown).
+    column: int = field(default=0, init=False, compare=False, repr=False)
     name: str = ""
     return_type: Type = None  # type: ignore[assignment]
     params: List[Param] = field(default_factory=list)

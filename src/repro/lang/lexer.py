@@ -110,12 +110,20 @@ class Lexer:
                         "A", "B", "C", "D", "E", "F",
                     ):
                         self._advance()
-                    value = int(self.source[start : self.pos], 16)
+                    base = 16
                 else:
                     while self._peek().isdigit():
                         self._advance()
-                    value = int(self.source[start : self.pos])
-                tokens.append(Token(TokenKind.NUMBER, self.source[start : self.pos], line, column, value))
+                    base = 10
+                text = self.source[start : self.pos]
+                if text in ("0x", "0X"):
+                    raise LexError("hex literal has no digits", line, column)
+                value = int(text, base)
+                if value > 0xFFFFFFFF:
+                    raise LexError(
+                        f"integer literal {text} does not fit in 32 bits", line, column
+                    )
+                tokens.append(Token(TokenKind.NUMBER, text, line, column, value))
             elif ch == "'":
                 self._advance()
                 char = self._read_escaped_char("'")

@@ -14,7 +14,7 @@ Grammar summary (C subset):
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, TypeVar, Union
 
 from repro.lang import astnodes as ast
 from repro.lang.errors import ParseError
@@ -37,6 +37,14 @@ _BINARY_TIERS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+
+_Node = TypeVar("_Node")
+
+
+def _at(node: _Node, where: Union[Token, ast.Expr]) -> _Node:
+    """Stamp *node* with the column of *where* (a token or a node) and return it."""
+    node.column = where.column  # type: ignore[attr-defined]
+    return node
 
 
 class Parser:
@@ -163,16 +171,16 @@ class Parser:
         while self.peek().kind != TokenKind.EOF:
             if not self.at_type():
                 raise self.error("expected declaration")
-            line = self.peek().line
+            start = self.peek()
             base = self.parse_base_type()
             name = self.expect_ident().text
             if self.peek().is_op("("):
-                unit.functions.append(self._parse_function(line, base, name))
+                unit.functions.append(self._parse_function(start, base, name))
             else:
-                unit.globals.append(self._parse_global(line, base, name))
+                unit.globals.append(self._parse_global(start, base, name))
         return unit
 
-    def _parse_global(self, line: int, base: Type, name: str) -> ast.GlobalDecl:
+    def _parse_global(self, start: Token, base: Type, name: str) -> ast.GlobalDecl:
         declared: Type = base
         if self.accept_op("["):
             declared = ArrayType(base, self._array_length())
@@ -194,9 +202,9 @@ class Parser:
             else:
                 init = self.parse_const_expr()
         self.expect_op(";")
-        return ast.GlobalDecl(line, name, declared, init)
+        return _at(ast.GlobalDecl(start.line, name, declared, init), start)
 
-    def _parse_function(self, line: int, ret: Type, name: str) -> ast.FunctionDef:
+    def _parse_function(self, start: Token, ret: Type, name: str) -> ast.FunctionDef:
         self.expect_op("(")
         params: List[ast.Param] = []
         if not self.peek().is_op(")"):
@@ -208,17 +216,17 @@ class Parser:
                     params.append(self._parse_param())
         self.expect_op(")")
         body = self.parse_block()
-        return ast.FunctionDef(line, name, ret, params, body)
+        return _at(ast.FunctionDef(start.line, name, ret, params, body), start)
 
     def _parse_param(self) -> ast.Param:
-        line = self.peek().line
+        start = self.peek()
         ptype = self.parse_base_type()
         name = self.expect_ident().text
         # Array parameters decay to pointers, as in C.
         if self.accept_op("["):
             self.expect_op("]")
             ptype = PointerType(ptype)
-        return ast.Param(line, name, ptype)
+        return _at(ast.Param(start.line, name, ptype), start)
 
     # -- statements ----------------------------------------------------------
 
@@ -230,7 +238,7 @@ class Parser:
                 raise self.error("unterminated block", start)
             statements.append(self.parse_statement())
         self.expect_op("}")
-        return ast.Block(start.line, statements)
+        return _at(ast.Block(start.line, statements), start)
 
     def parse_statement(self) -> ast.Stmt:
         token = self.peek()
@@ -238,7 +246,7 @@ class Parser:
             return self.parse_block()
         if token.is_op(";"):
             self.next()
-            return ast.Block(token.line, [])
+            return _at(ast.Block(token.line, []), token)
         if token.is_keyword("if"):
             return self._parse_if()
         if token.is_keyword("while"):
@@ -253,20 +261,20 @@ class Parser:
             self.next()
             value = None if self.peek().is_op(";") else self.parse_expression()
             self.expect_op(";")
-            return ast.Return(token.line, value)
+            return _at(ast.Return(token.line, value), token)
         if token.is_keyword("break"):
             self.next()
             self.expect_op(";")
-            return ast.Break(token.line)
+            return _at(ast.Break(token.line), token)
         if token.is_keyword("continue"):
             self.next()
             self.expect_op(";")
-            return ast.Continue(token.line)
+            return _at(ast.Continue(token.line), token)
         if self.at_type():
             return self._parse_var_decl()
         expr = self.parse_expression()
         self.expect_op(";")
-        return ast.ExprStmt(token.line, expr)
+        return _at(ast.ExprStmt(token.line, expr), token)
 
     def _parse_if(self) -> ast.If:
         token = self.next()
@@ -275,14 +283,14 @@ class Parser:
         self.expect_op(")")
         then_body = self.parse_statement()
         else_body = self.parse_statement() if self.accept_keyword("else") else None
-        return ast.If(token.line, cond, then_body, else_body)
+        return _at(ast.If(token.line, cond, then_body, else_body), token)
 
     def _parse_while(self) -> ast.While:
         token = self.next()
         self.expect_op("(")
         cond = self.parse_expression()
         self.expect_op(")")
-        return ast.While(token.line, cond, self.parse_statement())
+        return _at(ast.While(token.line, cond, self.parse_statement()), token)
 
     def _parse_do_while(self) -> ast.DoWhile:
         token = self.next()
@@ -293,7 +301,7 @@ class Parser:
         cond = self.parse_expression()
         self.expect_op(")")
         self.expect_op(";")
-        return ast.DoWhile(token.line, body, cond)
+        return _at(ast.DoWhile(token.line, body, cond), token)
 
     def _parse_switch(self) -> ast.Switch:
         token = self.next()
@@ -307,29 +315,29 @@ class Parser:
             if self.peek().kind == TokenKind.EOF:
                 raise self.error("unterminated switch", token)
             if self.peek().is_keyword("case"):
-                line = self.next().line
+                label = self.next()
                 value = self.parse_const_expr()
                 self.expect_op(":")
                 if current is not None and not current.body:
                     # `case 1: case 2:` — stacked labels share one arm.
                     current.values.append(value)
                 else:
-                    current = ast.SwitchCase(line, [value])
+                    current = _at(ast.SwitchCase(label.line, [value]), label)
                     cases.append(current)
             elif self.peek().is_keyword("default"):
-                line = self.next().line
+                label = self.next()
                 self.expect_op(":")
                 if current is not None and not current.body:
                     current.is_default = True
                 else:
-                    current = ast.SwitchCase(line, [], is_default=True)
+                    current = _at(ast.SwitchCase(label.line, [], is_default=True), label)
                     cases.append(current)
             else:
                 if current is None:
                     raise self.error("statement before first case label")
                 current.body.append(self.parse_statement())
         self.expect_op("}")
-        return ast.Switch(token.line, selector, cases)
+        return _at(ast.Switch(token.line, selector, cases), token)
 
     def _parse_for(self) -> ast.For:
         token = self.next()
@@ -340,10 +348,10 @@ class Parser:
         self.expect_op(";")
         step = None if self.peek().is_op(")") else self.parse_expression()
         self.expect_op(")")
-        return ast.For(token.line, init, cond, step, self.parse_statement())
+        return _at(ast.For(token.line, init, cond, step, self.parse_statement()), token)
 
     def _parse_var_decl(self) -> ast.VarDecl:
-        line = self.peek().line
+        start = self.peek()
         base = self.parse_base_type()
         name = self.expect_ident().text
         declared: Type = base
@@ -351,7 +359,7 @@ class Parser:
             declared = ArrayType(base, self._array_length())
         init = self.parse_expression() if self.accept_op("=") else None
         self.expect_op(";")
-        return ast.VarDecl(line, name, declared, init)
+        return _at(ast.VarDecl(start.line, name, declared, init), start)
 
     # -- expressions -----------------------------------------------------------
 
@@ -366,11 +374,11 @@ class Parser:
             then_value = self.parse_expression()
             self.expect_op(":")
             else_value = self._parse_assignment()
-            return ast.Conditional(token.line, left, then_value, else_value)
+            return _at(ast.Conditional(token.line, left, then_value, else_value), token)
         if token.kind == TokenKind.OP and token.text in _ASSIGN_OPS:
             self.next()
             value = self._parse_assignment()
-            return ast.Assign(token.line, token.text, left, value)
+            return _at(ast.Assign(token.line, token.text, left, value), token)
         return left
 
     def _parse_binary(self, tier: int) -> ast.Expr:
@@ -383,7 +391,7 @@ class Parser:
             if token.kind == TokenKind.OP and token.text in ops:
                 self.next()
                 right = self._parse_binary(tier + 1)
-                left = ast.Binary(token.line, token.text, left, right)
+                left = _at(ast.Binary(token.line, token.text, left, right), token)
             else:
                 return left
 
@@ -391,22 +399,23 @@ class Parser:
         token = self.peek()
         if token.is_op("++") or token.is_op("--"):
             self.next()
-            return ast.IncDec(token.line, token.text, self._parse_unary(), True)
+            operand = self._parse_unary()
+            return _at(ast.IncDec(token.line, token.text, operand, True), token)
         if token.is_op("-"):
             self.next()
-            return ast.Unary(token.line, "-", self._parse_unary())
+            return _at(ast.Unary(token.line, "-", self._parse_unary()), token)
         if token.is_op("!"):
             self.next()
-            return ast.Unary(token.line, "!", self._parse_unary())
+            return _at(ast.Unary(token.line, "!", self._parse_unary()), token)
         if token.is_op("~"):
             self.next()
-            return ast.Unary(token.line, "~", self._parse_unary())
+            return _at(ast.Unary(token.line, "~", self._parse_unary()), token)
         if token.is_op("*"):
             self.next()
-            return ast.Deref(token.line, self._parse_unary())
+            return _at(ast.Deref(token.line, self._parse_unary()), token)
         if token.is_op("&"):
             self.next()
-            return ast.AddrOf(token.line, self._parse_unary())
+            return _at(ast.AddrOf(token.line, self._parse_unary()), token)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
@@ -417,10 +426,10 @@ class Parser:
                 self.next()
                 index = self.parse_expression()
                 self.expect_op("]")
-                expr = ast.Index(token.line, expr, index)
+                expr = _at(ast.Index(token.line, expr, index), token)
             elif token.is_op("++") or token.is_op("--"):
                 self.next()
-                expr = ast.IncDec(token.line, token.text, expr, False)
+                expr = _at(ast.IncDec(token.line, token.text, expr, False), token)
             elif token.is_op("(") and isinstance(expr, ast.Ident):
                 self.next()
                 args: List[ast.Expr] = []
@@ -429,18 +438,19 @@ class Parser:
                     while self.accept_op(","):
                         args.append(self.parse_expression())
                 self.expect_op(")")
-                expr = ast.Call(token.line, expr.name, args)
+                expr = _at(ast.Call(expr.line, expr.name, args), expr)
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
         token = self.next()
         if token.kind in (TokenKind.NUMBER, TokenKind.CHAR):
-            return ast.IntLiteral(token.line, int(token.value))  # type: ignore[arg-type]
+            value = int(token.value)  # type: ignore[arg-type]
+            return _at(ast.IntLiteral(token.line, value), token)
         if token.kind == TokenKind.STRING:
-            return ast.StringLiteral(token.line, str(token.value))
+            return _at(ast.StringLiteral(token.line, str(token.value)), token)
         if token.kind == TokenKind.IDENT:
-            return ast.Ident(token.line, token.text)
+            return _at(ast.Ident(token.line, token.text), token)
         if token.is_op("("):
             expr = self.parse_expression()
             self.expect_op(")")

@@ -136,7 +136,7 @@ class SemanticAnalyzer:
         self._break_depth = 0  # loops + switches
 
     def error(self, message: str, node) -> SemaError:
-        return SemaError(message, getattr(node, "line", 0))
+        return SemaError(message, getattr(node, "line", 0), getattr(node, "column", 0))
 
     # -- entry point -----------------------------------------------------
 
@@ -179,7 +179,8 @@ class SemanticAnalyzer:
             raise self.error(f"redefinition of {func.name!r}", func)
         if len(func.params) > MAX_REGISTER_ARGS:
             raise self.error(
-                f"function {func.name!r} has more than {MAX_REGISTER_ARGS} parameters", func
+                f"function {func.name!r} has more than {MAX_REGISTER_ARGS} parameters",
+                func.params[MAX_REGISTER_ARGS],
             )
         ftype = FunctionType(func.return_type, tuple(p.declared_type for p in func.params))
         self.functions[func.name] = FunctionSymbol(func.name, ftype, defined=True)
@@ -464,9 +465,9 @@ class SemanticAnalyzer:
     def _check_assign(self, expr: ast.Assign) -> Type:
         target_type = self._check_expr(expr.target)
         if not self._is_lvalue(expr.target):
-            raise self.error("assignment target is not an lvalue", expr)
+            raise self.error("assignment target is not an lvalue", expr.target)
         if target_type.is_array:
-            raise self.error("cannot assign to an array", expr)
+            raise self.error("cannot assign to an array", expr.target)
         value_type = self._check_expr(expr.value)
         if expr.op == "=":
             if not compatible_assignment(target_type, value_type):

@@ -33,7 +33,9 @@ from typing import Dict, List, Optional
 #: engine, so a result always comes from the configured one.
 #: v4: suite manifests record each workload's ``result_digest`` and no
 #: longer carry suite-level phase ``timing``.
-MANIFEST_SCHEMA = 4
+#: v5: the fault-injection knob left the ``config`` dict, and failure
+#: records lost the flag that marked a failure as artificial.
+MANIFEST_SCHEMA = 5
 
 #: Cache dispositions a result can carry.
 DISPOSITIONS = ("computed", "memory-hit", "disk-hit")

@@ -7,11 +7,10 @@ class SimError(Exception):
     """A runtime fault in the simulated machine (bad access, bad pc...).
 
     The simulator annotates escaping traps with ``engine`` and the
-    retirement counters; the fault harness marks injected ones with
-    ``injected=True`` so failure records can tell them apart.
+    retirement counters, so failure records can say which engine died
+    and how far it got.
     """
 
-    injected = False
     engine = None
     retired_total = None
     retired_analyzed = None

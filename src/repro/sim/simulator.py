@@ -199,13 +199,6 @@ class Simulator:
         self._limit = limit
         self._skip = skip
 
-        # The engine fault site fires before any analyzer state is touched.
-        # Lazy import: repro.harness imports this module at load time.
-        from repro.harness import faults as _faults
-
-        if _faults.armed():
-            _faults.check("engine.raise")
-
         program = self.program
         self._step_hooks = _hooks_for(self._analyzers, "on_step")
         self._call_hooks = _hooks_for(self._analyzers, "on_call")

@@ -13,7 +13,9 @@ import pytest
 import repro
 
 from repro.harness.cli import build_parser, main
+from repro.lang.errors import ParseError
 from repro.obs.manifest import MANIFEST_SCHEMA
+from tests.harness.seams import break_workload, fault_pool
 
 GOLDEN_DIGESTS = Path(__file__).resolve().parents[1] / "golden" / "result_digests.json"
 
@@ -44,6 +46,7 @@ class TestPerfFlags:
         assert args.jobs == 4
         assert args.cache_dir == "/tmp/c"
 
+    @pytest.mark.usefixtures("isolated_runner")
     def test_cache_dir_wired_through_main(self, capsys, tmp_path):
         from repro.harness.runner import cache_directory, set_cache_dir
 
@@ -81,26 +84,19 @@ class TestRobustnessFlags:
         args = build_parser().parse_args([])
         assert args.strict is True
         assert args.timeout_s is None
-        assert args.faults is None
 
     def test_flags_parse(self):
-        args = build_parser().parse_args(
-            [
-                "table1",
-                "--no-strict",
-                "--timeout-s",
-                "2.5",
-                "--faults",
-                "worker.crash:go",
-            ]
-        )
+        args = build_parser().parse_args(["table1", "--no-strict", "--timeout-s", "2.5"])
         assert args.strict is False
         assert args.timeout_s == 2.5
-        assert args.faults == "worker.crash:go"
 
-    def test_non_strict_faulted_run_exits_3_with_artifacts(self, capsys, tmp_path):
+    @pytest.mark.usefixtures("isolated_runner")
+    def test_non_strict_faulted_run_exits_3_with_artifacts(
+        self, capsys, tmp_path, monkeypatch
+    ):
         """A partial run still writes the markdown + manifest, flags the
         failures in both, and exits non-zero."""
+        break_workload(monkeypatch, "compile-error")
         markdown = tmp_path / "report.md"
         code = main(
             [
@@ -108,8 +104,6 @@ class TestRobustnessFlags:
                 "--workloads",
                 "compress,go",
                 "--no-strict",
-                "--faults",
-                "asm.error:go",
                 "--markdown",
                 str(markdown),
             ]
@@ -119,16 +113,44 @@ class TestRobustnessFlags:
         assert "== failures (1) ==" in out
         text = markdown.read_text()
         assert "## Failures" in text
-        assert "compile-error" in text and "go" in text
+        assert "| go | compile-error | predecoded | 1 | 1:23: expected ';', got '}' |" in text
         manifest = json.loads((tmp_path / "report.md.manifest.json").read_text())
         assert manifest["partial"] is True
         assert manifest["failures"]["go"]["kind"] == "compile-error"
 
-    def test_strict_faulted_run_raises(self):
-        from repro.asm.errors import AsmError
+    @pytest.mark.usefixtures("isolated_runner")
+    def test_strict_faulted_run_raises(self, monkeypatch):
+        break_workload(monkeypatch, "compile-error")
+        with pytest.raises(ParseError):
+            main(["table1", "--workloads", "go"])
 
-        with pytest.raises(AsmError):
-            main(["table1", "--workloads", "go", "--faults", "asm.error:go"])
+    @pytest.mark.usefixtures("isolated_runner")
+    def test_pool_crash_partial_run_artifacts(self, capsys, tmp_path, monkeypatch):
+        """A worker that keeps dying: exit 3, a ``## Failures`` table,
+        and a manifest naming ``go`` as a worker crash after 3 attempts."""
+        fault_pool(monkeypatch, "crash")
+        markdown = tmp_path / "report.md"
+        code = main(
+            [
+                "table1",
+                "--workloads",
+                "compress,go",
+                "--jobs",
+                "2",
+                "--no-strict",
+                "--markdown",
+                str(markdown),
+            ]
+        )
+        assert code == 3
+        assert "## Failures" in markdown.read_text()
+        manifest = json.loads((tmp_path / "report.md.manifest.json").read_text())
+        assert manifest["partial"] is True
+        assert list(manifest["failures"]) == ["go"]
+        assert manifest["failures"]["go"]["kind"] == "worker-crash"
+        # Only lost tasks are retried, up to the fixed cap of 3 attempts.
+        assert manifest["failures"]["go"]["attempt"] == 3
+        assert list(manifest["workloads"]) == ["compress"]
 
     def test_clean_run_with_flags_exits_0(self, capsys):
         code = main(["table2", "--workloads", "compress", "--no-strict"])
@@ -154,7 +176,7 @@ class TestMain:
             (["--workloads", "nosuch"], "--workloads: unknown workload(s) nosuch"),
             (["--workloads", "go,go"], "--workloads: duplicate names in 'go,go'"),
             (["--jobs", "0"], "--jobs must be a positive integer"),
-            (["--faults", "nonsense"], "--faults: unknown fault site 'nonsense'"),
+            (["--timeout-s", "nan"], "--timeout-s must be positive, got nan"),
             (["--timeout-s", "-1", "--no-strict"], "--timeout-s must be positive"),
             (["--scale", "0"], "--scale: scale must be positive, got 0"),
             (["--scale", "-1"], "--scale: scale must be positive, got -1"),

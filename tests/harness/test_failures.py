@@ -22,6 +22,7 @@ from repro.harness.failures import (
 from repro.harness.parallel import run_suite_parallel
 from repro.harness.runner import SuiteConfig, run_suite
 from repro.lang.errors import MiniCError
+from repro.obs.manifest import build_suite_manifest
 from repro.sim.errors import SimError
 
 
@@ -36,7 +37,6 @@ class TestClassification:
         record = _classify(SimError("bad access", pc=0x40))
         assert record.kind == KIND_SIM_TRAP
         assert record.exception_type == "SimError"
-        assert not record.injected
 
     def test_compile_errors(self):
         assert _classify(AsmError("bad opcode")).kind == KIND_COMPILE
@@ -55,11 +55,6 @@ class TestClassification:
 
     def test_unknown(self):
         assert _classify(RuntimeError("boom")).kind == KIND_UNKNOWN
-
-    def test_injected_marker_propagates(self):
-        error = SimError("injected fault")
-        error.injected = True
-        assert _classify(error).injected
 
     def test_record_carries_context(self):
         record = _classify(SimError("x"), workload="gcc", attempt=3)
@@ -86,20 +81,29 @@ class TestSuiteReport:
         report = SuiteReport()
         report["go"] = "result"
         assert list(report) == ["go"] and report["go"] == "result"
-        assert report.ok and not report.partial
+        assert report.failures == {}
 
-    def test_failures_flip_partial(self):
+    def test_failures_flip_partial(self, suite_results):
+        """The suite manifest is partial exactly when a workload failed."""
         report = SuiteReport()
-        report.failures["go"] = FailureRecord(
+        report["go"] = suite_results["go"]
+        clean = build_suite_manifest(SuiteConfig(), report, "digest")
+        assert clean["partial"] is False and clean["failures"] == {}
+        report.failures["gcc"] = FailureRecord(
             kind=KIND_SIM_TRAP,
-            workload="go",
+            workload="gcc",
             engine="predecoded",
             attempt=1,
             message="x",
             exception_type="SimError",
         )
-        assert report.partial and not report.ok
-        assert "1 failed" in report.summary()
+        manifest = build_suite_manifest(
+            SuiteConfig(), report, "digest", failures=report.failures
+        )
+        assert manifest["partial"] is True
+        assert manifest["failures"]["gcc"]["kind"] == KIND_SIM_TRAP
+        assert manifest["failures"]["gcc"]["attempt"] == 1
+        assert list(manifest["workloads"]) == ["go"]
 
     def test_pickles_with_attributes(self):
         report = SuiteReport(config=SuiteConfig())

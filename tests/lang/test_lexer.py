@@ -80,3 +80,21 @@ class TestErrors:
     def test_unterminated_char(self):
         with pytest.raises(LexError):
             tokenize("'ab'")
+
+    def test_hex_literal_without_digits(self):
+        with pytest.raises(LexError, match="^1:12: hex literal has no digits"):
+            tokenize("int x = 1; 0x;")
+
+
+class TestIntegerRange:
+    @pytest.mark.parametrize("text", ["4294967295", "0xFFFFFFFF", "0xffffffff"])
+    def test_largest_32_bit_literal_accepted(self, text):
+        assert tokenize(text)[0].value == 0xFFFFFFFF
+
+    @pytest.mark.parametrize("text", ["4294967296", "99999999999", "0x100000000"])
+    def test_wider_literal_rejected_at_its_position(self, text):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(f"int x;\nint y = {text};")
+        error = excinfo.value
+        assert (error.line, error.column) == (2, 9)
+        assert error.message == f"integer literal {text} does not fit in 32 bits"

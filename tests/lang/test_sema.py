@@ -203,3 +203,32 @@ class TestGlobals:
 
     def test_char_pointer_string_ok(self):
         check('char *s = "abc"; int main() { return 0; }')
+
+
+class TestErrorColumns:
+    """A semantic error points at the offending token, not column 0."""
+
+    @pytest.mark.parametrize(
+        "source, prefix",
+        [
+            # The second `case` label.
+            (
+                "int main() { switch (1) { case 1: return 1; case 1: return 2; } return 0; }",
+                "1:45: duplicate case value 1",
+            ),
+            # The callee's name.
+            ("int main() { return nosuch(1); }", "1:21: call to undeclared function"),
+            # The fifth parameter.
+            (
+                "int f(int a, int b, int c, int d, int e) { return a; }"
+                " int main() { return 0; }",
+                "1:35: function 'f' has more than 4 parameters",
+            ),
+            # The assignment's target.
+            ("int main() { 1 = 2; return 0; }", "1:14: assignment target is not an lvalue"),
+        ],
+    )
+    def test_offending_token_column(self, source, prefix):
+        with pytest.raises(SemaError) as excinfo:
+            check(source)
+        assert str(excinfo.value).startswith(prefix)

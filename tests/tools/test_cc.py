@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.tools.cc import main
 
 HELLO = """
@@ -91,6 +97,15 @@ class TestCompileOnly:
         assert main([str(bad)]) == 1
         assert "undeclared" in capsys.readouterr().err
 
+    def test_oversized_literal_reported(self, tmp_path, capsys):
+        src = tmp_path / "big.mc"
+        src.write_text("int main() {\n  int x = 99999999999;\n  print_int(x);\n  return 0;\n}")
+        assert main([str(src), "--run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"repro-cc: {src}:2:11: integer literal 99999999999")
+
 
 class TestRun:
     def test_run_program(self, hello_file, capsys):
@@ -140,3 +155,28 @@ class TestRun:
         captured = capsys.readouterr()
         assert "--limit must be >= 0" in captured.err
         assert captured.out == ""
+
+
+class TestLayering:
+    def test_run_loads_no_harness(self, hello_file):
+        """``repro-cc --run`` needs the compiler and the simulator only:
+        the suite harness (pool, cache, experiments) and multiprocessing
+        stay unloaded."""
+        probe = (
+            "import sys\n"
+            "from repro.tools.cc import main\n"
+            f"code = main([{hello_file!r}, '--run'])\n"
+            "loaded = [m for m in ('repro.harness', 'multiprocessing') if m in sys.modules]\n"
+            "print('LOADED', code, loaded)\n"
+        )
+        src_root = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src_root)
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "LOADED 0 []"
